@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-ledger perf-gate sweep-bench determinism policy-gate serve-gate cluster-gate chaos-gate fork-gate open-gate schedd figures fault ci fmt
+.PHONY: all build vet test race bench bench-smoke perf-gate sweep-bench determinism policy-gate serve-gate cluster-gate chaos-gate fork-gate open-gate schedd figures fault ci fmt
 
 all: build
 
@@ -28,10 +28,6 @@ bench:
 # run without paying for stable numbers. CI runs this.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkNetworkAllToAll' -benchmem -benchtime 1x .
-
-# Every perfgate case (all groups), appended as dated BENCH_*.json entries.
-bench-ledger:
-	./scripts/bench.sh
 
 # Performance gate: run the declarative workload cases under perf/cases/
 # (warmup + trials, medians, noise bands), enforce each case's goals for

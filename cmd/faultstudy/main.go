@@ -131,19 +131,24 @@ func main() {
 		studies = append(studies, study)
 	}
 
-	switch format {
-	case experiments.CSV:
-		fmt.Print(experiments.FaultStudiesCSV(studies))
-	case experiments.JSON:
-		fmt.Print(experiments.FaultStudiesJSON(studies))
-	default:
+	if format == experiments.Table {
 		for i, study := range studies {
 			if i > 0 {
 				fmt.Println()
 			}
 			fmt.Print(study.Table())
 		}
+		return
 	}
+	// One document with a single header for every study.
+	doc, err := experiments.NewDoc(format, experiments.FaultCols...)
+	if err != nil {
+		fail(err)
+	}
+	for _, study := range studies {
+		study.Rows(doc)
+	}
+	fmt.Print(doc.String())
 }
 
 // parseRates converts failures-per-node-second values to MTBFs. Zero rates

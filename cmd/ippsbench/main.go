@@ -126,7 +126,8 @@ func runCluster(cl cliflags.Cluster, base core.Config, cf cliflags.Common, catal
 	if err != nil {
 		fail(err)
 	}
-	plan := engine.NewRemotePlan("ippsbench/cluster")
+	ctx := context.Background()
+	plan := engine.NewPlan[[]byte]("ippsbench/cluster")
 	var selected []experiments.CatalogEntry
 	for _, e := range catalog {
 		if runList != "all" && !wanted[e.ID] {
@@ -141,11 +142,11 @@ func runCluster(cl cliflags.Cluster, base core.Config, cf cliflags.Common, catal
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		plan.Add(engine.RemotePoint{Label: e.ID, Key: key, Path: "/v1/run", Body: body})
+		pt := engine.RemotePoint{Label: e.ID, Key: key, Path: "/v1/run", Body: body}
+		plan.Add(e.ID, func() ([]byte, error) { return coord.Do(ctx, pt) })
 		selected = append(selected, e)
 	}
-	bodies, errs := engine.ExecuteRemoteAll(context.Background(), coord, plan,
-		cl.RemoteOptions(cf, coord))
+	bodies, errs := engine.ExecuteAll(plan, cl.RemoteOptions(cf, coord))
 	for i, e := range selected {
 		if errs[i] != nil {
 			fmt.Fprintf(os.Stderr, "ippsbench: %s: %v\n", e.ID, errs[i])

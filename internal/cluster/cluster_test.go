@@ -58,15 +58,15 @@ func grid(t *testing.T) []core.Config {
 // and returns the response bodies in plan order, failing on any error.
 func sweepBodies(t *testing.T, c *Coordinator, cfgs []core.Config, parallelism int) [][]byte {
 	t.Helper()
-	plan := engine.NewRemotePlan("cluster-test")
+	plan := engine.NewPlan[[]byte]("cluster-test")
 	for _, cfg := range cfgs {
 		pt, err := ConfigPoint(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan.Add(pt)
+		plan.Add(pt.Label, func() ([]byte, error) { return c.Do(context.Background(), pt) })
 	}
-	bodies, errs := engine.ExecuteRemoteAll(context.Background(), c, plan, engine.Options{Workers: parallelism})
+	bodies, errs := engine.ExecuteAll(plan, engine.Options{Workers: parallelism})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("point %d (%s): %v", i, cfgs[i].Label(), err)

@@ -254,8 +254,8 @@ func (e *permanentError) Unwrap() error { return e.err }
 
 // Do routes one point: journal replay, rendezvous-ranked affinity, bounded
 // backpressure retry, failover rehash, and straggler hedging. It
-// implements engine.Remote, so ExecuteRemoteAll gives remote plans the
-// engine's ordering and error contract.
+// implements engine.Remote; a plan whose points call Do gets the engine's
+// ordering and error contract.
 //
 // With a Memo configured, a point already journaled is answered from the
 // journal byte-identically — no worker sees it — and a newly completed

@@ -41,20 +41,20 @@ func TestClusterForkResume(t *testing.T) {
 		{SeedSet: true, Seed: 3, BasicQuantum: 30 * sim.Millisecond},
 	}
 
-	forkPlan := func() *engine.RemotePlan {
-		plan := engine.NewRemotePlan("fork-resume")
+	forkPlan := func(c *Coordinator) *engine.Plan[[]byte] {
+		plan := engine.NewPlan[[]byte]("fork-resume")
 		for _, div := range divs {
 			pt, err := ForkConfigPoint(cfg, snapshot, div)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan.Add(pt)
+			plan.Add(pt.Label, func() ([]byte, error) { return c.Do(context.Background(), pt) })
 		}
 		return plan
 	}
 
 	two := New(Options{Workers: []string{w1.URL, w2.URL}, DisableHedging: true})
-	bodies, errs := engine.ExecuteRemoteAll(context.Background(), two, forkPlan(), engine.Options{Workers: 4})
+	bodies, errs := engine.ExecuteAll(forkPlan(two), engine.Options{Workers: 4})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("remote fork point %d: %v", i, err)
@@ -79,7 +79,7 @@ func TestClusterForkResume(t *testing.T) {
 
 	// Fleet-size invariance: a 1-worker fleet produces the same bytes.
 	one := New(Options{Workers: []string{w1.URL}, DisableHedging: true})
-	again, errs := engine.ExecuteRemoteAll(context.Background(), one, forkPlan(), engine.Options{Workers: 1})
+	again, errs := engine.ExecuteAll(forkPlan(one), engine.Options{Workers: 1})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("1-worker fork point %d: %v", i, err)

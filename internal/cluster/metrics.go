@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/serve"
 )
 
 // coordinatorMetrics counts the routing machinery: how many points moved,
@@ -109,38 +111,36 @@ func (c *Coordinator) Snapshot() Snapshot {
 // exposition format (the coordinator server mounts this on /metrics).
 func (c *Coordinator) WriteMetrics(b *strings.Builder) {
 	s := c.Snapshot()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("cluster_points_total", "Points routed to completion.", s.Points)
-	counter("cluster_remote_hits_total", "Points answered from a worker's result cache.", s.RemoteHits)
-	counter("cluster_remote_misses_total", "Points a worker had to simulate.", s.RemoteMisses)
-	counter("cluster_hedges_total", "Hedge requests fired against straggling points.", s.Hedges)
-	counter("cluster_hedge_wins_total", "Hedges that finished before the primary.", s.HedgeWins)
-	counter("cluster_rebalances_total", "Points served by a worker other than their rendezvous home.", s.Rebalances)
-	counter("cluster_backpressure_waits_total", "429 responses absorbed by waiting out the worker's Retry-After.", s.Backpressure)
-	counter("cluster_worker_failures_total", "Transport errors and 5xx responses from workers.", s.Failures)
-	counter("cluster_worker_cooldowns_total", "Times a worker's circuit breaker opened.", s.Cooldowns)
-	counter("cluster_journal_hits_total", "Points answered from the durable sweep journal.", s.JournalHits)
-	counter("cluster_journal_appends_total", "Points durably appended to the sweep journal.", s.JournalAppends)
-	counter("cluster_retry_spent_total", "Per-sweep retry budget units consumed (failovers, backpressure waits, hedges).", s.RetrySpent)
-	fmt.Fprintf(b, "# HELP cluster_journal_entries Distinct points in the sweep journal.\n# TYPE cluster_journal_entries gauge\ncluster_journal_entries %d\n", s.JournalEntries)
-	fmt.Fprintf(b, "# HELP cluster_retry_budget_remaining Remaining per-sweep retry budget (-1 = unlimited).\n# TYPE cluster_retry_budget_remaining gauge\ncluster_retry_budget_remaining %d\n", s.RetryLeft)
+	e := serve.NewExposition(b)
+	e.Counter("cluster_points_total", "Points routed to completion.", s.Points)
+	e.Counter("cluster_remote_hits_total", "Points answered from a worker's result cache.", s.RemoteHits)
+	e.Counter("cluster_remote_misses_total", "Points a worker had to simulate.", s.RemoteMisses)
+	e.Counter("cluster_hedges_total", "Hedge requests fired against straggling points.", s.Hedges)
+	e.Counter("cluster_hedge_wins_total", "Hedges that finished before the primary.", s.HedgeWins)
+	e.Counter("cluster_rebalances_total", "Points served by a worker other than their rendezvous home.", s.Rebalances)
+	e.Counter("cluster_backpressure_waits_total", "429 responses absorbed by waiting out the worker's Retry-After.", s.Backpressure)
+	e.Counter("cluster_worker_failures_total", "Transport errors and 5xx responses from workers.", s.Failures)
+	e.Counter("cluster_worker_cooldowns_total", "Times a worker's circuit breaker opened.", s.Cooldowns)
+	e.Counter("cluster_journal_hits_total", "Points answered from the durable sweep journal.", s.JournalHits)
+	e.Counter("cluster_journal_appends_total", "Points durably appended to the sweep journal.", s.JournalAppends)
+	e.Counter("cluster_retry_spent_total", "Per-sweep retry budget units consumed (failovers, backpressure waits, hedges).", s.RetrySpent)
+	e.Gauge("cluster_journal_entries", "Distinct points in the sweep journal.", s.JournalEntries)
+	e.Gauge("cluster_retry_budget_remaining", "Remaining per-sweep retry budget (-1 = unlimited).", s.RetryLeft)
 
-	perWorker := func(name, help string, pick func(WorkerSnapshot) int64, typ string) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	perWorker := func(name, help, typ string, pick func(WorkerSnapshot) int64) {
+		e.Family(name, help, typ)
 		for _, w := range s.Workers {
-			fmt.Fprintf(b, "%s{worker=%q} %d\n", name, w.URL, pick(w))
+			e.Labelled(name, "worker", w.URL, pick(w))
 		}
 	}
-	perWorker("cluster_worker_inflight", "Requests currently in flight to the worker.",
-		func(w WorkerSnapshot) int64 { return w.Inflight }, "gauge")
-	perWorker("cluster_worker_requests_total", "Requests sent to the worker, hedges included.",
-		func(w WorkerSnapshot) int64 { return w.Requests }, "counter")
-	perWorker("cluster_worker_hits_total", "Responses the worker answered from cache.",
-		func(w WorkerSnapshot) int64 { return w.Hits }, "counter")
-	perWorker("cluster_worker_breaker_state", "Circuit-breaker state per worker: 0 closed, 1 half-open, 2 open.",
-		func(w WorkerSnapshot) int64 { return int64(w.Breaker) }, "gauge")
+	perWorker("cluster_worker_inflight", "Requests currently in flight to the worker.", "gauge",
+		func(w WorkerSnapshot) int64 { return w.Inflight })
+	perWorker("cluster_worker_requests_total", "Requests sent to the worker, hedges included.", "counter",
+		func(w WorkerSnapshot) int64 { return w.Requests })
+	perWorker("cluster_worker_hits_total", "Responses the worker answered from cache.", "counter",
+		func(w WorkerSnapshot) int64 { return w.Hits })
+	perWorker("cluster_worker_breaker_state", "Circuit-breaker state per worker: 0 closed, 1 half-open, 2 open.", "gauge",
+		func(w WorkerSnapshot) int64 { return int64(w.Breaker) })
 }
 
 // Report is a one-line human summary for tool -cluster-report output.

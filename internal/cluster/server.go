@@ -7,9 +7,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"repro/internal/engine"
 	"repro/internal/serve"
@@ -123,11 +125,22 @@ func decodeWorkerRef(w http.ResponseWriter, r *http.Request) (string, bool) {
 		return "", false
 	}
 	ref.Addr = strings.TrimRight(ref.Addr, "/")
-	if !strings.HasPrefix(ref.Addr, "http://") && !strings.HasPrefix(ref.Addr, "https://") {
+	if !validWorkerAddr(ref.Addr) {
 		httpError(w, http.StatusBadRequest, "addr must be an http(s) base URL, got %q", ref.Addr)
 		return "", false
 	}
 	return ref.Addr, true
+}
+
+// validWorkerAddr accepts an http(s) URL with a host and no control
+// characters. The address becomes a routing key and a /metrics label
+// value, so one malformed registration must not break every scrape.
+func validWorkerAddr(addr string) bool {
+	if strings.IndexFunc(addr, unicode.IsControl) >= 0 {
+		return false
+	}
+	u, err := url.Parse(addr)
+	return err == nil && (u.Scheme == "http" || u.Scheme == "https") && u.Host != ""
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -262,8 +275,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	s.coord.WriteMetrics(&b)
-	fmt.Fprintf(&b, "# HELP cluster_workers Live worker leases.\n# TYPE cluster_workers gauge\ncluster_workers %d\n",
-		len(s.reg.workers()))
+	serve.NewExposition(&b).Gauge("cluster_workers", "Live worker leases.", int64(len(s.reg.workers())))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())
 }

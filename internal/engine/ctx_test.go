@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// TestExecuteAllCtxCancelStopsDispatch: after cancel, no further points are
+// TestExecuteCancelStopsDispatch: after cancel, no further points are
 // dispatched, every undispatched point's error is context.Canceled, the
 // points already in flight finish normally, and the call returns promptly.
-func TestExecuteAllCtxCancelStopsDispatch(t *testing.T) {
+func TestExecuteCancelStopsDispatch(t *testing.T) {
 	const n, workers = 64, 4
 	ctx, cancel := context.WithCancel(context.Background())
 
@@ -35,7 +35,7 @@ func TestExecuteAllCtxCancelStopsDispatch(t *testing.T) {
 	var results []int
 	var errs []error
 	go func() {
-		results, errs = ExecuteAllCtx(ctx, p, Options{Workers: workers})
+		results, errs = ExecuteAll(p, Options{Workers: workers, Ctx: ctx})
 		close(done)
 	}()
 
@@ -49,7 +49,7 @@ func TestExecuteAllCtxCancelStopsDispatch(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("ExecuteAllCtx did not return after cancel")
+		t.Fatal("ExecuteAll did not return after cancel")
 	}
 
 	if got := ran.Load(); got != workers {
@@ -77,9 +77,9 @@ func TestExecuteAllCtxCancelStopsDispatch(t *testing.T) {
 	}
 }
 
-// TestExecuteAllCtxSequentialCancel covers the workers<=1 path: a context
+// TestExecuteSequentialCancel covers the workers<=1 path: a context
 // cancelled mid-plan stamps every remaining point with the context error.
-func TestExecuteAllCtxSequentialCancel(t *testing.T) {
+func TestExecuteSequentialCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	p := NewPlan[int]("seq-cancel")
@@ -92,7 +92,7 @@ func TestExecuteAllCtxSequentialCancel(t *testing.T) {
 			return i, nil
 		})
 	}
-	results, errs := ExecuteAllCtx(ctx, p, Options{Workers: 1})
+	results, errs := ExecuteAll(p, Options{Workers: 1, Ctx: ctx})
 	for i := 0; i <= 2; i++ {
 		if errs[i] != nil || results[i] != i {
 			t.Errorf("point %d: got (%d, %v), want (%d, nil)", i, results[i], errs[i], i)
@@ -105,15 +105,15 @@ func TestExecuteAllCtxSequentialCancel(t *testing.T) {
 	}
 }
 
-// TestExecuteAllCtxNoGoroutineLeak: a cancelled plan leaves no workers
+// TestExecuteCancelNoGoroutineLeak: a cancelled plan leaves no workers
 // behind.
-func TestExecuteAllCtxNoGoroutineLeak(t *testing.T) {
+func TestExecuteCancelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 10; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already-cancelled context: nothing should run
 		p := buildPlan(32)
-		_, errs := ExecuteAllCtx(ctx, p, Options{Workers: 8})
+		_, errs := ExecuteAll(p, Options{Workers: 8, Ctx: ctx})
 		for i, err := range errs {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("round %d point %d: err %v, want context.Canceled", round, i, err)
@@ -133,7 +133,7 @@ func TestExecuteAllCtxNoGoroutineLeak(t *testing.T) {
 }
 
 // TestOptionsCtxPlumbing: drivers that only pass Options inherit
-// cancellation through Options.Ctx, and ExecuteCtx surfaces the first
+// cancellation through Options.Ctx, and Execute surfaces the first
 // undispatched point's context error.
 func TestOptionsCtxPlumbing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -144,7 +144,7 @@ func TestOptionsCtxPlumbing(t *testing.T) {
 			t.Fatalf("point %d: err %v, want context.Canceled", i, err)
 		}
 	}
-	if _, err := ExecuteCtx(ctx, buildPlan(4), Options{Workers: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExecuteCtx err %v, want context.Canceled", err)
+	if _, err := Execute(buildPlan(4), Options{Workers: 2, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute err %v, want context.Canceled", err)
 	}
 }

@@ -50,9 +50,6 @@ func (p *Plan[T]) Add(label string, run func() (T, error)) int {
 	return len(p.Points) - 1
 }
 
-// Len reports the number of points.
-func (p *Plan[T]) Len() int { return len(p.Points) }
-
 // Options tunes plan execution.
 type Options struct {
 	// Workers bounds how many points run concurrently; <= 0 means
@@ -62,10 +59,9 @@ type Options struct {
 	// Ctx, when non-nil, cancels the plan: once it is done no further
 	// points are dispatched and every undispatched point's error slot is
 	// filled with the context's error. Points already running finish
-	// normally (a simulation cannot be interrupted mid-run). This is how
-	// callers that only hold an Options value — the experiment drivers —
-	// inherit cancellation without a signature change; ExecuteAllCtx is
-	// the explicit form.
+	// normally (a simulation cannot be interrupted mid-run). It is the only
+	// way to cancel a plan, so callers that only hold an Options value —
+	// the experiment drivers — inherit cancellation unchanged.
 	Ctx context.Context
 }
 
@@ -119,43 +115,16 @@ func runPoint[T any](p *Plan[T], i int, results []T, errs []error) {
 // because an earlier point failed — callers that want best-effort sweeps
 // (cmd/sweep) report per-point errors and keep the good rows.
 //
-// Cancellation comes from Options.Ctx when set (see ExecuteAllCtx for the
-// explicit form); otherwise the plan always runs to completion.
+// Once Options.Ctx is done, no further points are dispatched — their error
+// slots are filled with ctx.Err() (context.Canceled or
+// context.DeadlineExceeded) — and the call returns as soon as the points
+// already in flight finish. No goroutines outlive the call.
 func ExecuteAll[T any](p *Plan[T], opts ...Options) ([]T, []error) {
 	o := Pick(opts...)
 	ctx := o.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return executeAll(ctx, p, o)
-}
-
-// ExecuteAllCtx is ExecuteAll with explicit cancellation: once ctx is done,
-// no further points are dispatched — their error slots are filled with
-// ctx.Err() (context.Canceled or context.DeadlineExceeded) — and the call
-// returns as soon as the points already in flight finish. No goroutines
-// outlive the call. ctx overrides Options.Ctx.
-func ExecuteAllCtx[T any](ctx context.Context, p *Plan[T], opts ...Options) ([]T, []error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return executeAll(ctx, p, Pick(opts...))
-}
-
-// ExecuteCtx is Execute with explicit cancellation; like Execute it returns
-// the error of the lowest-indexed failed point, which under cancellation is
-// the first undispatched point's ctx.Err().
-func ExecuteCtx[T any](ctx context.Context, p *Plan[T], opts ...Options) ([]T, error) {
-	results, errs := ExecuteAllCtx(ctx, p, opts...)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-func executeAll[T any](ctx context.Context, p *Plan[T], o Options) ([]T, []error) {
 	n := len(p.Points)
 	results := make([]T, n)
 	errs := make([]error, n)

@@ -5,18 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// Remote execution: the same plan/point/merge contract as the local worker
-// pool, with the point's work done somewhere else. A RemotePoint carries no
-// closure — it is pure data (an affinity key, an endpoint path, an opaque
-// request body) that a Remote implementation ships to another machine. The
-// cluster coordinator (internal/cluster) is the production Remote: it routes
-// each point to a worker by rendezvous hashing on Key so repeated sweeps hit
-// the worker that already cached the answer.
+// Remote execution is a local Plan[[]byte] whose points call Remote.Do: the
+// same plan/point/merge contract as any other plan, with the point's work
+// done somewhere else. A RemotePoint carries no closure — it is pure data
+// (an affinity key, an endpoint path, an opaque request body) that a Remote
+// implementation ships to another machine. The cluster coordinator
+// (internal/cluster) is the production Remote: it routes each point to a
+// worker by rendezvous hashing on Key so repeated sweeps hit the worker
+// that already cached the answer.
 //
 // The merge guarantee carries over unchanged: results are collected by point
 // index, so the output of a remote plan is byte-identical at any client
-// concurrency and any fleet size — routing, retries and hedging change which
-// machine computes a byte slice, never the bytes or their order.
+// concurrency (Options.Workers bounds in-flight requests, not simulations)
+// and any fleet size — routing, retries and hedging change which machine
+// computes a byte slice, never the bytes or their order. Cancellation comes
+// from Options.Ctx like any plan; pass the same context to Do.
 
 // RemotePoint is one unit of remote work.
 type RemotePoint struct {
@@ -41,25 +44,6 @@ type RemotePoint struct {
 type Remote interface {
 	Do(ctx context.Context, p RemotePoint) ([]byte, error)
 }
-
-// RemotePlan is an ordered list of remote points. Like Plan, order is the
-// output order regardless of execution interleaving.
-type RemotePlan struct {
-	Name   string
-	Points []RemotePoint
-}
-
-// NewRemotePlan creates an empty remote plan.
-func NewRemotePlan(name string) *RemotePlan { return &RemotePlan{Name: name} }
-
-// Add appends a point and returns its index.
-func (p *RemotePlan) Add(pt RemotePoint) int {
-	p.Points = append(p.Points, pt)
-	return len(p.Points) - 1
-}
-
-// Len reports the number of points.
-func (p *RemotePlan) Len() int { return len(p.Points) }
 
 // Memo is a durable (or at least persistent-enough) map from a point's
 // content address to the response bytes once served for it. Because
@@ -118,29 +102,3 @@ func (m *MemoRemote) Do(ctx context.Context, p RemotePoint) ([]byte, error) {
 // wrapped remote had to execute.
 func (m *MemoRemote) Hits() int64   { return m.hits.Load() }
 func (m *MemoRemote) Misses() int64 { return m.misses.Load() }
-
-// ExecuteRemoteAll fans the plan out over the remote with bounded client
-// concurrency (Options.Workers bounds in-flight requests, not simulations)
-// and collects response bodies and errors keyed by point index — the same
-// contract as ExecuteAll. Cancellation, panic isolation and ordering all
-// come from the local pool the remote calls run on.
-func ExecuteRemoteAll(ctx context.Context, r Remote, p *RemotePlan, opts ...Options) ([][]byte, []error) {
-	plan := NewPlan[[]byte]("remote/" + p.Name)
-	for _, pt := range p.Points {
-		pt := pt
-		plan.Add(pt.Label, func() ([]byte, error) { return r.Do(ctx, pt) })
-	}
-	return ExecuteAllCtx(ctx, plan, Pick(opts...))
-}
-
-// ExecuteRemote is ExecuteRemoteAll returning the lowest-indexed failure,
-// mirroring Execute.
-func ExecuteRemote(ctx context.Context, r Remote, p *RemotePlan, opts ...Options) ([][]byte, error) {
-	results, errs := ExecuteRemoteAll(ctx, r, p, opts...)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}

@@ -23,10 +23,13 @@ func (f *fakeRemote) Do(_ context.Context, p RemotePoint) ([]byte, error) {
 	return []byte("body:" + p.Key), nil
 }
 
-func remotePlan(n int) *RemotePlan {
-	p := NewRemotePlan("t")
+// remotePlan is the remote execution idiom: a local plan whose points call
+// r.Do with the plan's context.
+func remotePlan(ctx context.Context, r Remote, n int) *Plan[[]byte] {
+	p := NewPlan[[]byte]("t")
 	for i := 0; i < n; i++ {
-		p.Add(RemotePoint{Label: fmt.Sprintf("p%d", i), Key: fmt.Sprintf("k%d", i), Path: "/v1/point"})
+		pt := RemotePoint{Label: fmt.Sprintf("p%d", i), Key: fmt.Sprintf("k%d", i), Path: "/v1/point"}
+		p.Add(pt.Label, func() ([]byte, error) { return r.Do(ctx, pt) })
 	}
 	return p
 }
@@ -36,7 +39,7 @@ func remotePlan(n int) *RemotePlan {
 func TestClusterRemoteOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		r := &fakeRemote{}
-		bodies, errs := ExecuteRemoteAll(context.Background(), r, remotePlan(23), Options{Workers: workers})
+		bodies, errs := ExecuteAll(remotePlan(context.Background(), r, 23), Options{Workers: workers})
 		for i, b := range bodies {
 			if errs[i] != nil {
 				t.Fatalf("workers=%d point %d: %v", workers, i, errs[i])
@@ -56,7 +59,7 @@ func TestClusterRemoteOrdering(t *testing.T) {
 func TestClusterRemoteErrorIsolation(t *testing.T) {
 	boom := errors.New("boom")
 	r := &fakeRemote{fail: map[string]error{"k3": boom}}
-	bodies, errs := ExecuteRemoteAll(context.Background(), r, remotePlan(6), Options{Workers: 3})
+	bodies, errs := ExecuteAll(remotePlan(context.Background(), r, 6), Options{Workers: 3})
 	for i := range bodies {
 		if i == 3 {
 			if !errors.Is(errs[i], boom) {
@@ -68,8 +71,8 @@ func TestClusterRemoteErrorIsolation(t *testing.T) {
 			t.Fatalf("point %d = %q, %v", i, bodies[i], errs[i])
 		}
 	}
-	if _, err := ExecuteRemote(context.Background(), r, remotePlan(6), Options{Workers: 3}); !errors.Is(err, boom) {
-		t.Fatalf("ExecuteRemote err = %v, want boom", err)
+	if _, err := Execute(remotePlan(context.Background(), r, 6), Options{Workers: 3}); !errors.Is(err, boom) {
+		t.Fatalf("Execute err = %v, want boom", err)
 	}
 }
 
@@ -79,7 +82,7 @@ func TestClusterRemoteCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := &fakeRemote{}
-	_, errs := ExecuteRemoteAll(ctx, r, remotePlan(5), Options{Workers: 1})
+	_, errs := ExecuteAll(remotePlan(ctx, r, 5), Options{Workers: 1, Ctx: ctx})
 	for i, err := range errs {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("point %d err = %v, want canceled", i, err)
@@ -128,7 +131,7 @@ func TestClusterRemoteMemoResume(t *testing.T) {
 	r := &fakeRemote{}
 	wrapped := WithMemo(r, mm)
 
-	first, errs := ExecuteRemoteAll(context.Background(), wrapped, remotePlan(9), Options{Workers: 3})
+	first, errs := ExecuteAll(remotePlan(context.Background(), wrapped, 9), Options{Workers: 3})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
@@ -141,7 +144,7 @@ func TestClusterRemoteMemoResume(t *testing.T) {
 	// "Crash" and resume: a fresh wrapper over the same memo, the remote
 	// untouched for replayed points.
 	resumed := WithMemo(r, mm)
-	second, errs := ExecuteRemoteAll(context.Background(), resumed, remotePlan(9), Options{Workers: 3})
+	second, errs := ExecuteAll(remotePlan(context.Background(), resumed, 9), Options{Workers: 3})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("resume point %d: %v", i, err)

@@ -72,173 +72,56 @@ type CatalogEntry struct {
 	Run func(base core.Config, format Format, opts engine.Options) (string, error)
 }
 
-// render3 adapts an experiment with table/CSV/JSON renderers to a Run func.
-func render3(format Format, table func() string, csv func() string, json func() string) string {
-	switch format {
-	case CSV:
-		return csv()
-	case JSON:
-		return json()
-	default:
-		return table()
-	}
-}
-
-func figureEntry(id, title string, f func(core.Config, ...engine.Options) (*Figure, error)) CatalogEntry {
+// entry builds a catalog entry from an experiment's driver and its view.
+func entry[T any](id, title string, run func(core.Config, ...engine.Options) (T, error), v view[T]) CatalogEntry {
 	return CatalogEntry{ID: id, Title: title, Run: func(base core.Config, format Format, opts engine.Options) (string, error) {
-		fig, err := f(base, opts)
+		x, err := run(base, opts)
 		if err != nil {
 			return "", err
 		}
-		return render3(format, fig.Table, fig.CSV, fig.JSON), nil
+		return v.render(x, format), nil
 	}}
 }
 
 var catalog = []CatalogEntry{
-	figureEntry("f3", "Figure 3: matmul, fixed architecture", Figure3),
-	figureEntry("f4", "Figure 4: matmul, adaptive architecture", Figure4),
-	figureEntry("f5", "Figure 5: sort, fixed architecture", Figure5),
-	figureEntry("f6", "Figure 6: sort, adaptive architecture", Figure6),
-	{"e1", "E1: service-time variance sensitivity", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		points, err := VarianceSweep(DefaultCVs, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return VarianceTable(points) },
-			func() string { return VarianceCSV(points) },
-			func() string { return VarianceJSON(points) }), nil
-	}},
-	{"e2", "E2: wormhole routing ablation", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := WormholeAblation(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return AblationTable(cells) },
-			func() string { return AblationCSV(cells) },
-			func() string { return AblationJSON(cells) }), nil
-	}},
-	{"e3", "E3: basic quantum sweep", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		points, err := QuantumSweep(DefaultQuanta, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return QuantumTable(points) },
-			func() string { return QuantumCSV(points) },
-			func() string { return QuantumJSON(points) }), nil
-	}},
-	{"e4", "E4: RR-job vs RR-process fairness", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		r, err := RunRRComparison(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return RRTable(r) },
-			func() string { return RRCSV(r) },
-			func() string { return RRJSON(r) }), nil
-	}},
-	{"e5", "E5: multiprogramming level tuning", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		points, err := MPLSweep(DefaultMPLs, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return MPLTable(points) },
-			func() string { return MPLCSV(points) },
-			func() string { return MPLJSON(points) }), nil
-	}},
-	{"e6", "E6: open-system load sweep (static/hybrid/dynamic)", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		points, err := OpenLoadSweep(DefaultLoads, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return LoadTable(points) },
-			func() string { return LoadCSV(points) },
-			func() string { return LoadJSON(points) }), nil
-	}},
-	{"e7", "E7: gang scheduling vs RR-job", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := GangVsRRJob(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return GangTable(cells) },
-			func() string { return GangCSV(cells) },
-			func() string { return GangJSON(cells) }), nil
-	}},
-	{"e8", "E8: topology stress with the halo-exchange stencil", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := StencilTopology(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return StencilTable(cells) },
-			func() string { return StencilCSV(cells) },
-			func() string { return StencilJSON(cells) }), nil
-	}},
-	{"e9", "E9: machine-size scalability (16-64 nodes)", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := Scalability(DefaultScales, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return ScaleTable(cells) },
-			func() string { return ScaleCSV(cells) },
-			func() string { return ScaleJSON(cells) }), nil
-	}},
-	{"e10", "E10: binomial-tree broadcast ablation", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := BroadcastAblation(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return BroadcastTable(cells) },
-			func() string { return BroadcastCSV(cells) },
-			func() string { return BroadcastJSON(cells) }), nil
-	}},
-	{"e11", "E11: sort-algorithm ablation (selection vs merge)", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := SortAlgorithmAblation(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return SortAlgTable(cells) },
-			func() string { return SortAlgCSV(cells) },
-			func() string { return SortAlgJSON(cells) }), nil
-	}},
-	{"e12", "E12: butterfly all-reduce vs topology", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := CollectiveTopology(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return CollectiveTable(cells) },
-			func() string { return CollectiveCSV(cells) },
-			func() string { return CollectiveJSON(cells) }), nil
-	}},
-	{"e14", "E14: policy zoo vs the paper's disciplines", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := PolicyZoo(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return ZooTable(cells) },
-			func() string { return ZooCSV(cells) },
-			func() string { return ZooJSON(cells) }), nil
-	}},
-	{"e15", "E15: policy zoo under open-system load", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := OpenSweep(base, nil, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return OpenSweepTable(cells) },
-			func() string { return OpenSweepCSV(cells) },
-			func() string { return OpenSweepJSON(cells) }), nil
-	}},
+	entry("f3", "Figure 3: matmul, fixed architecture", Figure3, figureView),
+	entry("f4", "Figure 4: matmul, adaptive architecture", Figure4, figureView),
+	entry("f5", "Figure 5: sort, fixed architecture", Figure5, figureView),
+	entry("f6", "Figure 6: sort, adaptive architecture", Figure6, figureView),
+	entry("e1", "E1: service-time variance sensitivity",
+		func(b core.Config, o ...engine.Options) ([]VariancePoint, error) {
+			return VarianceSweep(DefaultCVs, b, o...)
+		},
+		varianceView),
+	entry("e2", "E2: wormhole routing ablation", WormholeAblation, ablationView),
+	entry("e3", "E3: basic quantum sweep",
+		func(b core.Config, o ...engine.Options) ([]QuantumPoint, error) {
+			return QuantumSweep(DefaultQuanta, b, o...)
+		},
+		quantumView),
+	entry("e4", "E4: RR-job vs RR-process fairness", RunRRComparison, rrView),
+	entry("e5", "E5: multiprogramming level tuning",
+		func(b core.Config, o ...engine.Options) ([]MPLPoint, error) { return MPLSweep(DefaultMPLs, b, o...) },
+		mplView),
+	entry("e6", "E6: open-system load sweep (static/hybrid/dynamic)",
+		func(b core.Config, o ...engine.Options) ([]LoadPoint, error) {
+			return OpenLoadSweep(DefaultLoads, b, o...)
+		},
+		loadView),
+	entry("e7", "E7: gang scheduling vs RR-job", GangVsRRJob, gangView),
+	entry("e8", "E8: topology stress with the halo-exchange stencil", StencilTopology, stencilView),
+	entry("e9", "E9: machine-size scalability (16-64 nodes)",
+		func(b core.Config, o ...engine.Options) ([]ScaleCell, error) {
+			return Scalability(DefaultScales, b, o...)
+		},
+		scaleView),
+	entry("e10", "E10: binomial-tree broadcast ablation", BroadcastAblation, broadcastView),
+	entry("e11", "E11: sort-algorithm ablation (selection vs merge)", SortAlgorithmAblation, sortAlgView),
+	entry("e12", "E12: butterfly all-reduce vs topology", CollectiveTopology, collectiveView),
+	entry("e14", "E14: policy zoo vs the paper's disciplines", PolicyZoo, zooView),
+	entry("e15", "E15: policy zoo under open-system load",
+		func(b core.Config, o ...engine.Options) ([]OpenCell, error) { return OpenSweep(b, nil, o...) },
+		openView),
 }
 
 // Catalog returns every named experiment in presentation order. The slice

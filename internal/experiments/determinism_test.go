@@ -27,21 +27,21 @@ func TestDriverDeterminismAcrossWorkers(t *testing.T) {
 			if err != nil {
 				return nil, "", err
 			}
-			return fig, fig.CSV(), nil
+			return fig, figureView.render(fig, CSV), nil
 		}},
 		{"figure6", func(opts engine.Options) (any, string, error) {
 			fig, err := Figure6(core.Config{}, opts)
 			if err != nil {
 				return nil, "", err
 			}
-			return fig, fig.CSV(), nil
+			return fig, figureView.render(fig, CSV), nil
 		}},
 		{"quantum", func(opts engine.Options) (any, string, error) {
 			points, err := QuantumSweep(DefaultQuanta, core.Config{}, opts)
 			if err != nil {
 				return nil, "", err
 			}
-			return points, QuantumCSV(points), nil
+			return points, quantumView.render(points, CSV), nil
 		}},
 		{"faultstudy", func(opts engine.Options) (any, string, error) {
 			works := make([]sim.Time, 6)
@@ -59,7 +59,7 @@ func TestDriverDeterminismAcrossWorkers(t *testing.T) {
 			if err != nil {
 				return nil, "", err
 			}
-			return study, study.CSV(), nil
+			return study, faultCSV(study), nil
 		}},
 	}
 	for _, tc := range cases {

@@ -2,291 +2,149 @@ package experiments
 
 import "repro/internal/metrics"
 
-// CSV and JSON exporters for every figure and extension sweep. Each
-// experiment declares its header columns and typed row cells exactly once;
-// the two renderings share the row feed, so a column added to the CSV is in
-// the JSON by construction. Formatting and escaping live in the shared
-// row-writers (render.go). Times are in seconds.
+// Every experiment becomes a document one way: a view declares its
+// historical text table, its CSV/JSON columns and its typed row feed
+// exactly once, and render picks the table or feeds the rows through a
+// Doc. The CSV and JSON renderings share the row feed, so a column added
+// to the CSV is in the JSON by construction. Formatting and escaping live
+// in the shared row-writers (render.go). Times are in seconds.
 
-// rowWriter is what the two document writers (csvWriter, jsonWriter) have
-// in common: a typed-cell row sink.
-type rowWriter interface {
-	row(cells ...any)
+// view is how one experiment's result T becomes a table, CSV or JSON
+// document.
+type view[T any] struct {
+	table func(T) string
+	cols  []string
+	rows  func(T, Doc)
 }
 
-// renderRows materializes one experiment export: the same column list and
-// row feed through whichever writer the caller picked.
-func renderCSV(cols []string, feed func(rowWriter)) string {
-	w := newCSV(cols...)
-	feed(w)
-	return w.String()
+// render renders x in the requested format; anything but CSV and JSON is
+// the text table.
+func (v view[T]) render(x T, f Format) string {
+	d := newDoc(f, v.cols)
+	if d == nil {
+		return v.table(x)
+	}
+	v.rows(x, d)
+	return d.String()
 }
 
-func renderJSON(cols []string, feed func(rowWriter)) string {
-	w := newJSON(cols...)
-	feed(w)
-	return w.String()
-}
+var figureView = view[*Figure]{(*Figure).Table, []string{"label", "partition", "topology",
+	"static_avg_s", "static_best_s", "static_worst_s", "ts_s", "ts_over_static", "ts_mem_blocked_s",
+	"ts_overhead_frac"}, (*Figure).rows}
 
-var figureCols = []string{"label", "partition", "topology", "static_avg_s", "static_best_s",
-	"static_worst_s", "ts_s", "ts_over_static", "ts_mem_blocked_s", "ts_overhead_frac"}
-
-func (f *Figure) rows(w rowWriter) {
+func (f *Figure) rows(d Doc) {
 	for _, c := range f.Cells {
-		w.row(c.Label, c.PartitionSize, c.Topology,
+		d.Row(c.Label, c.PartitionSize, c.Topology,
 			secs(c.Static), secs(c.StaticBest), secs(c.StaticWorst),
 			secs(c.TS), fix4(c.Ratio()), secs(c.TSMemBlocked), fix4(c.TSOverheadFrac))
 	}
 }
 
-// CSV renders the figure as comma-separated values (one row per cell) for
-// plotting outside the harness.
-func (f *Figure) CSV() string { return renderCSV(figureCols, f.rows) }
-
-// JSON renders the figure as an array of row objects — the encoding schedd
-// serves over HTTP.
-func (f *Figure) JSON() string { return renderJSON(figureCols, f.rows) }
-
-var varianceCols = []string{"cv", "static_s", "ts_s"}
-
-func varianceRows(points []VariancePoint) func(rowWriter) {
-	return func(w rowWriter) {
+var varianceView = view[[]VariancePoint]{VarianceTable, []string{"cv", "static_s", "ts_s"},
+	func(points []VariancePoint, d Doc) {
 		for _, p := range points {
-			w.row(fix2(p.CV), secs(p.Static), secs(p.TS))
+			d.Row(fix2(p.CV), secs(p.Static), secs(p.TS))
 		}
-	}
-}
+	}}
 
-// VarianceCSV renders E1.
-func VarianceCSV(points []VariancePoint) string { return renderCSV(varianceCols, varianceRows(points)) }
-
-// VarianceJSON renders E1 as JSON rows.
-func VarianceJSON(points []VariancePoint) string {
-	return renderJSON(varianceCols, varianceRows(points))
-}
-
-var ablationCols = []string{"label", "saf_s", "wormhole_s", "saf_mem_blocked_s", "wh_mem_blocked_s"}
-
-func ablationRows(cells []AblationCell) func(rowWriter) {
-	return func(w rowWriter) {
+var ablationView = view[[]AblationCell]{AblationTable,
+	[]string{"label", "saf_s", "wormhole_s", "saf_mem_blocked_s", "wh_mem_blocked_s"},
+	func(cells []AblationCell, d Doc) {
 		for _, c := range cells {
-			w.row(c.Label, secs(c.SAF), secs(c.WH), secs(c.SAFBlock), secs(c.WHBlock))
+			d.Row(c.Label, secs(c.SAF), secs(c.WH), secs(c.SAFBlock), secs(c.WHBlock))
 		}
-	}
-}
+	}}
 
-// AblationCSV renders E2.
-func AblationCSV(cells []AblationCell) string { return renderCSV(ablationCols, ablationRows(cells)) }
-
-// AblationJSON renders E2 as JSON rows.
-func AblationJSON(cells []AblationCell) string { return renderJSON(ablationCols, ablationRows(cells)) }
-
-var quantumCols = []string{"quantum_us", "ts_s", "overhead_frac"}
-
-func quantumRows(points []QuantumPoint) func(rowWriter) {
-	return func(w rowWriter) {
+var quantumView = view[[]QuantumPoint]{QuantumTable, []string{"quantum_us", "ts_s", "overhead_frac"},
+	func(points []QuantumPoint, d Doc) {
 		for _, p := range points {
-			w.row(int64(p.Q), secs(p.TS), fix4(p.OverheadFrac))
+			d.Row(int64(p.Q), secs(p.TS), fix4(p.OverheadFrac))
 		}
-	}
-}
+	}}
 
-// QuantumCSV renders E3.
-func QuantumCSV(points []QuantumPoint) string { return renderCSV(quantumCols, quantumRows(points)) }
+var rrView = view[*RRComparisonResult]{RRTable, []string{"policy", "narrow_s", "wide_s"},
+	func(r *RRComparisonResult, d Doc) {
+		d.Row("rr-job", secs(r.RRJobSmall), secs(r.RRJobBig))
+		d.Row("rr-process", secs(r.RRProcSmall), secs(r.RRProcBig))
+	}}
 
-// QuantumJSON renders E3 as JSON rows.
-func QuantumJSON(points []QuantumPoint) string { return renderJSON(quantumCols, quantumRows(points)) }
-
-var rrCols = []string{"policy", "narrow_s", "wide_s"}
-
-func rrRows(r *RRComparisonResult) func(rowWriter) {
-	return func(w rowWriter) {
-		w.row("rr-job", secs(r.RRJobSmall), secs(r.RRJobBig))
-		w.row("rr-process", secs(r.RRProcSmall), secs(r.RRProcBig))
-	}
-}
-
-// RRCSV renders E4.
-func RRCSV(r *RRComparisonResult) string { return renderCSV(rrCols, rrRows(r)) }
-
-// RRJSON renders E4 as JSON rows.
-func RRJSON(r *RRComparisonResult) string { return renderJSON(rrCols, rrRows(r)) }
-
-var mplCols = []string{"mpl", "ts_s", "mem_blocked_s"}
-
-func mplRows(points []MPLPoint) func(rowWriter) {
-	return func(w rowWriter) {
+var mplView = view[[]MPLPoint]{MPLTable, []string{"mpl", "ts_s", "mem_blocked_s"},
+	func(points []MPLPoint, d Doc) {
 		for _, p := range points {
-			w.row(p.MaxResident, secs(p.Mean), secs(p.MemBlocked))
+			d.Row(p.MaxResident, secs(p.Mean), secs(p.MemBlocked))
 		}
-	}
-}
+	}}
 
-// MPLCSV renders E5.
-func MPLCSV(points []MPLPoint) string { return renderCSV(mplCols, mplRows(points)) }
-
-// MPLJSON renders E5 as JSON rows.
-func MPLJSON(points []MPLPoint) string { return renderJSON(mplCols, mplRows(points)) }
-
-var loadCols = []string{"rho", "static4_s", "hybrid4_s", "dynamic_s"}
-
-func loadRows(points []LoadPoint) func(rowWriter) {
-	return func(w rowWriter) {
+var loadView = view[[]LoadPoint]{LoadTable, []string{"rho", "static4_s", "hybrid4_s", "dynamic_s"},
+	func(points []LoadPoint, d Doc) {
 		for _, p := range points {
-			w.row(fix2(p.Rho), secs(p.Static4), secs(p.Hybrid4), secs(p.Dynamic))
+			d.Row(fix2(p.Rho), secs(p.Static4), secs(p.Hybrid4), secs(p.Dynamic))
 		}
-	}
-}
+	}}
 
-// LoadCSV renders E6.
-func LoadCSV(points []LoadPoint) string { return renderCSV(loadCols, loadRows(points)) }
-
-// LoadJSON renders E6 as JSON rows.
-func LoadJSON(points []LoadPoint) string { return renderJSON(loadCols, loadRows(points)) }
-
-var gangCols = []string{"app", "rrjob_s", "gang_s", "rrjob_overhead", "gang_overhead"}
-
-func gangRows(cells []GangCell) func(rowWriter) {
-	return func(w rowWriter) {
+var gangView = view[[]GangCell]{GangTable,
+	[]string{"app", "rrjob_s", "gang_s", "rrjob_overhead", "gang_overhead"},
+	func(cells []GangCell, d Doc) {
 		for _, c := range cells {
-			w.row(c.App, secs(c.RRJob), secs(c.Gang), fix4(c.RRJobOvh), fix4(c.GangOverhead))
+			d.Row(c.App, secs(c.RRJob), secs(c.Gang), fix4(c.RRJobOvh), fix4(c.GangOverhead))
 		}
-	}
-}
+	}}
 
-// GangCSV renders E7.
-func GangCSV(cells []GangCell) string { return renderCSV(gangCols, gangRows(cells)) }
-
-// GangJSON renders E7 as JSON rows.
-func GangJSON(cells []GangCell) string { return renderJSON(gangCols, gangRows(cells)) }
-
-var stencilCols = []string{"label", "static_s", "ts_s", "ts_avg_msg_latency_us"}
-
-func stencilRows(cells []StencilCell) func(rowWriter) {
-	return func(w rowWriter) {
+var stencilView = view[[]StencilCell]{StencilTable,
+	[]string{"label", "static_s", "ts_s", "ts_avg_msg_latency_us"},
+	func(cells []StencilCell, d Doc) {
 		for _, c := range cells {
-			w.row(c.Label, secs(c.Static), secs(c.TS), int64(c.TSAvgLat))
+			d.Row(c.Label, secs(c.Static), secs(c.TS), int64(c.TSAvgLat))
 		}
-	}
-}
+	}}
 
-// StencilCSV renders E8.
-func StencilCSV(cells []StencilCell) string { return renderCSV(stencilCols, stencilRows(cells)) }
-
-// StencilJSON renders E8 as JSON rows.
-func StencilJSON(cells []StencilCell) string { return renderJSON(stencilCols, stencilRows(cells)) }
-
-var scaleCols = []string{"nodes", "static_s", "ts_s", "ts_mem_blocked_s", "ts_overhead_frac"}
-
-func scaleRows(cells []ScaleCell) func(rowWriter) {
-	return func(w rowWriter) {
+var scaleView = view[[]ScaleCell]{ScaleTable,
+	[]string{"nodes", "static_s", "ts_s", "ts_mem_blocked_s", "ts_overhead_frac"},
+	func(cells []ScaleCell, d Doc) {
 		for _, c := range cells {
-			w.row(c.Machine, secs(c.Static), secs(c.TS), secs(c.TSMemBlock), fix4(c.TSOverhead))
+			d.Row(c.Machine, secs(c.Static), secs(c.TS), secs(c.TSMemBlock), fix4(c.TSOverhead))
 		}
-	}
-}
+	}}
 
-// ScaleCSV renders E9.
-func ScaleCSV(cells []ScaleCell) string { return renderCSV(scaleCols, scaleRows(cells)) }
-
-// ScaleJSON renders E9 as JSON rows.
-func ScaleJSON(cells []ScaleCell) string { return renderJSON(scaleCols, scaleRows(cells)) }
-
-var broadcastCols = []string{"config", "sequential_s", "tree_s"}
-
-func broadcastRows(cells []BroadcastCell) func(rowWriter) {
-	return func(w rowWriter) {
+var broadcastView = view[[]BroadcastCell]{BroadcastTable, []string{"config", "sequential_s", "tree_s"},
+	func(cells []BroadcastCell, d Doc) {
 		for _, c := range cells {
-			w.row(c.Label, secs(c.Seq), secs(c.Tree))
+			d.Row(c.Label, secs(c.Seq), secs(c.Tree))
 		}
-	}
-}
+	}}
 
-// BroadcastCSV renders E10.
-func BroadcastCSV(cells []BroadcastCell) string {
-	return renderCSV(broadcastCols, broadcastRows(cells))
-}
-
-// BroadcastJSON renders E10 as JSON rows.
-func BroadcastJSON(cells []BroadcastCell) string {
-	return renderJSON(broadcastCols, broadcastRows(cells))
-}
-
-var sortAlgCols = []string{"algorithm", "partition", "fixed_s", "adaptive_s"}
-
-func sortAlgRows(cells []SortAlgCell) func(rowWriter) {
-	return func(w rowWriter) {
+var sortAlgView = view[[]SortAlgCell]{SortAlgTable,
+	[]string{"algorithm", "partition", "fixed_s", "adaptive_s"},
+	func(cells []SortAlgCell, d Doc) {
 		for _, c := range cells {
-			w.row(c.Algorithm, c.PartitionSize, secs(c.Fixed), secs(c.Adaptive))
+			d.Row(c.Algorithm, c.PartitionSize, secs(c.Fixed), secs(c.Adaptive))
 		}
-	}
-}
+	}}
 
-// SortAlgCSV renders E11.
-func SortAlgCSV(cells []SortAlgCell) string { return renderCSV(sortAlgCols, sortAlgRows(cells)) }
-
-// SortAlgJSON renders E11 as JSON rows.
-func SortAlgJSON(cells []SortAlgCell) string { return renderJSON(sortAlgCols, sortAlgRows(cells)) }
-
-var collectiveCols = []string{"label", "single_s", "ts_s", "avg_hops"}
-
-func collectiveRows(cells []CollectiveCell) func(rowWriter) {
-	return func(w rowWriter) {
+var collectiveView = view[[]CollectiveCell]{CollectiveTable, []string{"label", "single_s", "ts_s", "avg_hops"},
+	func(cells []CollectiveCell, d Doc) {
 		for _, c := range cells {
-			w.row(c.Label, secs(c.Single), secs(c.TS), fix2(c.AvgHops))
+			d.Row(c.Label, secs(c.Single), secs(c.TS), fix2(c.AvgHops))
 		}
-	}
-}
+	}}
 
-// CollectiveCSV renders E12.
-func CollectiveCSV(cells []CollectiveCell) string {
-	return renderCSV(collectiveCols, collectiveRows(cells))
-}
-
-// CollectiveJSON renders E12 as JSON rows.
-func CollectiveJSON(cells []CollectiveCell) string {
-	return renderJSON(collectiveCols, collectiveRows(cells))
-}
-
-var faultCols = []string{"topology", "partition", "policy", "rate_per_node_s", "mtbf_us",
+// FaultCols are the fault-study document columns; Rows feeds them.
+var FaultCols = []string{"topology", "partition", "policy", "rate_per_node_s", "mtbf_us",
 	"mean_s", "makespan_s", "nodes_failed", "job_kills", "requeues", "restarts",
 	"checkpoints", "work_lost_s", "retries"}
 
-func (s *FaultStudy) rows(w rowWriter) {
+// Rows appends the study's points to a FaultCols document. Several studies
+// fed into one document give the single-header output of
+// cmd/faultstudy -format csv|json.
+func (s *FaultStudy) Rows(d Doc) {
 	for _, c := range s.Curves {
 		for _, p := range c.Points {
-			w.row(s.Topology, s.PartitionSize, c.Policy, p.Rate, int64(p.NodeMTBF),
+			d.Row(s.Topology, s.PartitionSize, c.Policy, p.Rate, int64(p.NodeMTBF),
 				secs(p.Mean), secs(p.Makespan),
 				p.Faults.NodesFailed, p.Faults.JobKills, p.Faults.Requeues,
 				p.Faults.Restarts, p.Faults.Checkpoints, secs(p.Faults.WorkLost), p.Retries)
 		}
 	}
-}
-
-// CSV renders the fault study as rows for plotting.
-func (s *FaultStudy) CSV() string { return renderCSV(faultCols, s.rows) }
-
-// JSON renders the fault study as JSON rows.
-func (s *FaultStudy) JSON() string { return renderJSON(faultCols, s.rows) }
-
-// FaultStudiesCSV renders several studies as one CSV document (single
-// header) — byte-identical to the historical concatenate-and-strip-headers
-// output of cmd/faultstudy -csv.
-func FaultStudiesCSV(studies []*FaultStudy) string {
-	return renderCSV(faultCols, func(w rowWriter) {
-		for _, s := range studies {
-			s.rows(w)
-		}
-	})
-}
-
-// FaultStudiesJSON renders several studies as one JSON row array.
-func FaultStudiesJSON(studies []*FaultStudy) string {
-	return renderJSON(faultCols, func(w rowWriter) {
-		for _, s := range studies {
-			s.rows(w)
-		}
-	})
 }
 
 // Single-run summary: the headline metrics of one core.Run, the body
@@ -331,7 +189,7 @@ func SummaryJSON(res *metrics.Result) string {
 // SummaryCSV renders the summary as a one-row CSV document.
 func SummaryCSV(res *metrics.Result) string {
 	w := newCSV(summaryCols...)
-	w.row(summaryCells(res)...)
+	w.Row(summaryCells(res)...)
 	return w.String()
 }
 

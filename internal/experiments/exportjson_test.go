@@ -33,8 +33,8 @@ func TestFigureJSONGolden(t *testing.T) {
   {"label":"8L","partition":8,"topology":"linear","static_avg_s":1.000000,"static_best_s":0.000000,"static_worst_s":0.000000,"ts_s":0.500000,"ts_over_static":0.5000,"ts_mem_blocked_s":0.000000,"ts_overhead_frac":0.0000}
 ]
 `
-	if got := fig.JSON(); got != want {
-		t.Errorf("Figure.JSON drifted:\n got: %q\nwant: %q", got, want)
+	if got := figureView.render(fig, JSON); got != want {
+		t.Errorf("figure JSON drifted:\n got: %q\nwant: %q", got, want)
 	}
 }
 
@@ -75,35 +75,35 @@ func TestSummaryJSONGolden(t *testing.T) {
 // parseable JSON whose objects carry exactly the CSV header's columns, and
 // empty inputs render an empty array.
 func TestJSONExportersAreValidJSONWithCSVColumns(t *testing.T) {
-	cases := map[string]struct{ jsonDoc, csvDoc string }{
-		"figure": {(&Figure{Cells: []Cell{{Label: "1"}}}).JSON(), (&Figure{Cells: []Cell{{Label: "1"}}}).CSV()},
-		"variance": {VarianceJSON([]VariancePoint{{CV: 0.5, Static: sim.Second, TS: 2 * sim.Second}}),
-			VarianceCSV([]VariancePoint{{CV: 0.5}})},
-		"ablation": {AblationJSON([]AblationCell{{Label: "16L"}}), AblationCSV([]AblationCell{{Label: "16L"}})},
-		"quantum":  {QuantumJSON([]QuantumPoint{{Q: 2000}}), QuantumCSV([]QuantumPoint{{Q: 2000}})},
-		"rr":       {RRJSON(&RRComparisonResult{}), RRCSV(&RRComparisonResult{})},
-		"mpl":      {MPLJSON([]MPLPoint{{MaxResident: 2}}), MPLCSV([]MPLPoint{{MaxResident: 2}})},
-		"load":     {LoadJSON([]LoadPoint{{Rho: 0.5}}), LoadCSV([]LoadPoint{{Rho: 0.5}})},
-		"gang":     {GangJSON([]GangCell{{App: "stencil"}}), GangCSV([]GangCell{{App: "stencil"}})},
-		"stencil":  {StencilJSON([]StencilCell{{Label: "8L"}}), StencilCSV([]StencilCell{{Label: "8L"}})},
-		"scale":    {ScaleJSON([]ScaleCell{{Machine: 16}}), ScaleCSV([]ScaleCell{{Machine: 16}})},
-		"broadcast": {BroadcastJSON([]BroadcastCell{{Label: "16M"}}),
-			BroadcastCSV([]BroadcastCell{{Label: "16M"}})},
-		"sortalg": {SortAlgJSON([]SortAlgCell{{Algorithm: "merge"}}), SortAlgCSV([]SortAlgCell{{Algorithm: "merge"}})},
-		"collective": {CollectiveJSON([]CollectiveCell{{Label: "16M"}}),
-			CollectiveCSV([]CollectiveCell{{Label: "16M"}})},
+	cases := map[string]func(Format) string{
+		"figure":     fixture(figureView, &Figure{Cells: []Cell{{Label: "1"}}}),
+		"variance":   fixture(varianceView, []VariancePoint{{CV: 0.5, Static: sim.Second, TS: 2 * sim.Second}}),
+		"ablation":   fixture(ablationView, []AblationCell{{Label: "16L"}}),
+		"quantum":    fixture(quantumView, []QuantumPoint{{Q: 2000}}),
+		"rr":         fixture(rrView, &RRComparisonResult{}),
+		"mpl":        fixture(mplView, []MPLPoint{{MaxResident: 2}}),
+		"load":       fixture(loadView, []LoadPoint{{Rho: 0.5}}),
+		"gang":       fixture(gangView, []GangCell{{App: "stencil"}}),
+		"stencil":    fixture(stencilView, []StencilCell{{Label: "8L"}}),
+		"scale":      fixture(scaleView, []ScaleCell{{Machine: 16}}),
+		"broadcast":  fixture(broadcastView, []BroadcastCell{{Label: "16M"}}),
+		"sortalg":    fixture(sortAlgView, []SortAlgCell{{Algorithm: "merge"}}),
+		"collective": fixture(collectiveView, []CollectiveCell{{Label: "16M"}}),
+		"zoo":        fixture(zooView, []ZooCell{{Label: "static"}}),
+		"open":       fixture(openView, []OpenCell{{Label: "static"}}),
 	}
-	for name, c := range cases {
+	for name, render := range cases {
+		jsonDoc, csvDoc := render(JSON), render(CSV)
 		var rows []map[string]any
-		if err := json.Unmarshal([]byte(c.jsonDoc), &rows); err != nil {
-			t.Errorf("%s: invalid JSON: %v\n%s", name, err, c.jsonDoc)
+		if err := json.Unmarshal([]byte(jsonDoc), &rows); err != nil {
+			t.Errorf("%s: invalid JSON: %v\n%s", name, err, jsonDoc)
 			continue
 		}
 		if len(rows) == 0 {
 			t.Errorf("%s: no rows", name)
 			continue
 		}
-		header := strings.Split(strings.SplitN(strings.TrimSpace(c.csvDoc), "\n", 2)[0], ",")
+		header := strings.Split(strings.SplitN(strings.TrimSpace(csvDoc), "\n", 2)[0], ",")
 		if len(rows[0]) != len(header) {
 			t.Errorf("%s: JSON row has %d fields, CSV header has %d", name, len(rows[0]), len(header))
 		}
@@ -117,7 +117,7 @@ func TestJSONExportersAreValidJSONWithCSVColumns(t *testing.T) {
 
 // TestJSONEmptyInput: zero rows render a bare empty array, still valid.
 func TestJSONEmptyInput(t *testing.T) {
-	got := VarianceJSON(nil)
+	got := varianceView.render(nil, JSON)
 	if got != "[]\n" {
 		t.Errorf("empty export = %q, want %q", got, "[]\n")
 	}

@@ -108,7 +108,7 @@ func TestScalabilityClaims(t *testing.T) {
 	if !strings.Contains(ScaleTable(cells), "E9") {
 		t.Error("table header")
 	}
-	if !strings.Contains(ScaleCSV(cells), "nodes,static_s") {
+	if !strings.Contains(scaleView.render(cells, CSV), "nodes,static_s") {
 		t.Error("csv header")
 	}
 }
@@ -158,7 +158,7 @@ func TestBroadcastAblationClaims(t *testing.T) {
 	if !strings.Contains(BroadcastTable(cells), "E10") {
 		t.Error("table header")
 	}
-	if !strings.Contains(BroadcastCSV(cells), "config,sequential_s") {
+	if !strings.Contains(broadcastView.render(cells, CSV), "config,sequential_s") {
 		t.Error("csv header")
 	}
 }
@@ -188,7 +188,7 @@ func TestSortAlgorithmAblationClaims(t *testing.T) {
 	if !strings.Contains(SortAlgTable(cells), "E11") {
 		t.Error("table header")
 	}
-	if !strings.Contains(SortAlgCSV(cells), "algorithm,partition") {
+	if !strings.Contains(sortAlgView.render(cells, CSV), "algorithm,partition") {
 		t.Error("csv header")
 	}
 }
@@ -223,7 +223,7 @@ func TestCollectiveTopologyClaims(t *testing.T) {
 	if !strings.Contains(CollectiveTable(cells), "E12") {
 		t.Error("table header")
 	}
-	if !strings.Contains(CollectiveCSV(cells), "label,single_s") {
+	if !strings.Contains(collectiveView.render(cells, CSV), "label,single_s") {
 		t.Error("csv header")
 	}
 }

@@ -83,8 +83,15 @@ func TestFaultStudyRenderers(t *testing.T) {
 	if !strings.Contains(tb, "static") || !strings.Contains(tb, "time-shared") {
 		t.Errorf("table missing policy rows:\n%s", tb)
 	}
-	csv := s.CSV()
+	csv := faultCSV(s)
 	if got, want := strings.Count(csv, "\n"), 1+2*2; got != want {
 		t.Errorf("csv has %d lines, want %d (header + 2 policies x 2 points):\n%s", got, want, csv)
 	}
+}
+
+// faultCSV renders one study the way cmd/faultstudy -format csv does.
+func faultCSV(s *FaultStudy) string {
+	d := newDoc(CSV, FaultCols)
+	s.Rows(d)
+	return d.String()
 }

@@ -146,19 +146,11 @@ func OpenSweepTable(cells []OpenCell) string {
 	return t.String()
 }
 
-var openCols = []string{"policy", "rho", "jobs", "mean_s", "p50_s", "p99_s", "util", "jobs_per_sec"}
-
-func openRows(cells []OpenCell) func(rowWriter) {
-	return func(w rowWriter) {
+var openView = view[[]OpenCell]{OpenSweepTable,
+	[]string{"policy", "rho", "jobs", "mean_s", "p50_s", "p99_s", "util", "jobs_per_sec"},
+	func(cells []OpenCell, d Doc) {
 		for _, c := range cells {
-			w.row(c.Label, fix2(c.Load), c.Jobs, secs(c.Mean), secs(c.P50), secs(c.P99),
+			d.Row(c.Label, fix2(c.Load), c.Jobs, secs(c.Mean), secs(c.P50), secs(c.P99),
 				fix4(c.Util), fix2(c.JobsPerSec))
 		}
-	}
-}
-
-// OpenSweepCSV renders E15.
-func OpenSweepCSV(cells []OpenCell) string { return renderCSV(openCols, openRows(cells)) }
-
-// OpenSweepJSON renders E15 as JSON rows.
-func OpenSweepJSON(cells []OpenCell) string { return renderJSON(openCols, openRows(cells)) }
+	}}

@@ -54,7 +54,7 @@ func TestOpenSweepClaims(t *testing.T) {
 	if !strings.Contains(OpenSweepTable(cells), "E15") {
 		t.Error("table header missing")
 	}
-	if csv := OpenSweepCSV(cells); !strings.HasPrefix(csv, "policy,rho,jobs,") {
+	if csv := openView.render(cells, CSV); !strings.HasPrefix(csv, "policy,rho,jobs,") {
 		t.Errorf("csv header: %q", strings.SplitN(csv, "\n", 2)[0])
 	}
 }

@@ -20,8 +20,8 @@ import (
 //	fix2  fixed 2-decimal float (CVs, loads, ratios shown coarsely)
 //	fix4  fixed 4-decimal float (fractions, fine ratios)
 //
-// Plain string, int, int64, float64 (%g) and fmt.Stringer cells render
-// directly; strings pass through csvEscape.
+// Plain string, int, int64, float64 (%g), bool and fmt.Stringer cells
+// render directly; strings pass through csvEscape.
 type (
 	secs sim.Time
 	fix2 float64
@@ -46,8 +46,8 @@ func newCSV(cols ...string) *csvWriter {
 	return w
 }
 
-// row appends one record; each cell renders per its wrapper type.
-func (w *csvWriter) row(cells ...any) {
+// Row appends one record; each cell renders per its wrapper type.
+func (w *csvWriter) Row(cells ...any) {
 	for i, c := range cells {
 		if i > 0 {
 			w.b.WriteByte(',')
@@ -60,19 +60,10 @@ func (w *csvWriter) row(cells ...any) {
 func (w *csvWriter) String() string { return w.b.String() }
 
 func csvCell(c any) string {
+	if s, ok := scalarCell(c); ok {
+		return s
+	}
 	switch v := c.(type) {
-	case secs:
-		return fmt.Sprintf("%.6f", sim.Time(v).Seconds())
-	case fix2:
-		return fmt.Sprintf("%.2f", float64(v))
-	case fix4:
-		return fmt.Sprintf("%.4f", float64(v))
-	case float64:
-		return fmt.Sprintf("%g", v)
-	case int:
-		return strconv.Itoa(v)
-	case int64:
-		return strconv.FormatInt(v, 10)
 	case string:
 		return csvEscape(v)
 	case fmt.Stringer:
@@ -80,6 +71,29 @@ func csvCell(c any) string {
 	default:
 		return csvEscape(fmt.Sprint(v))
 	}
+}
+
+// scalarCell renders the numeric and boolean cells, which are spelled the
+// same in CSV and JSON — a plotting pipeline switching formats sees the
+// same digits.
+func scalarCell(c any) (string, bool) {
+	switch v := c.(type) {
+	case secs:
+		return fmt.Sprintf("%.6f", sim.Time(v).Seconds()), true
+	case fix2:
+		return fmt.Sprintf("%.2f", float64(v)), true
+	case fix4:
+		return fmt.Sprintf("%.4f", float64(v)), true
+	case float64:
+		return fmt.Sprintf("%g", v), true
+	case int:
+		return strconv.Itoa(v), true
+	case int64:
+		return strconv.FormatInt(v, 10), true
+	case bool:
+		return strconv.FormatBool(v), true
+	}
+	return "", false
 }
 
 // csvEscape quotes a field that contains a separator, quote or newline —
@@ -110,8 +124,8 @@ func newJSON(cols ...string) *jsonWriter {
 	return w
 }
 
-// row appends one object; cells pair positionally with the columns.
-func (w *jsonWriter) row(cells ...any) {
+// Row appends one object; cells pair positionally with the columns.
+func (w *jsonWriter) Row(cells ...any) {
 	if len(cells) != len(w.cols) {
 		panic(fmt.Sprintf("experiments: json row has %d cells for %d columns", len(cells), len(w.cols)))
 	}
@@ -173,25 +187,13 @@ func (o *jsonObject) String() string {
 	return o.b.String()
 }
 
-// jsonCell renders one typed cell as a JSON value. The numeric wrappers
-// render exactly as in csvCell — a plotting pipeline switching formats sees
-// the same digits.
+// jsonCell renders one typed cell as a JSON value: scalars exactly as in
+// csvCell, everything else as a quoted string.
 func jsonCell(c any) string {
+	if s, ok := scalarCell(c); ok {
+		return s
+	}
 	switch v := c.(type) {
-	case secs:
-		return fmt.Sprintf("%.6f", sim.Time(v).Seconds())
-	case fix2:
-		return fmt.Sprintf("%.2f", float64(v))
-	case fix4:
-		return fmt.Sprintf("%.4f", float64(v))
-	case float64:
-		return fmt.Sprintf("%g", v)
-	case int:
-		return strconv.Itoa(v)
-	case int64:
-		return strconv.FormatInt(v, 10)
-	case bool:
-		return strconv.FormatBool(v)
 	case string:
 		return strconv.Quote(v)
 	case fmt.Stringer:
@@ -202,8 +204,8 @@ func jsonCell(c any) string {
 }
 
 // Exported row-document surface for tools outside the package (cmd/sweep,
-// cmd/faultstudy): the same typed cells and writers the experiment
-// exporters use, so a tool's CSV and JSON renderings of one row feed can
+// cmd/faultstudy): the same typed cells and writers the experiment views
+// use, so a tool's CSV and JSON renderings of one row feed can
 // never drift apart — and a row computed from a cluster worker's wire
 // summary formats byte-identically to the locally-computed one.
 
@@ -216,7 +218,8 @@ func Fix2(v float64) any { return fix2(v) }
 // Fix4 renders a float at fixed 4 decimals.
 func Fix4(v float64) any { return fix4(v) }
 
-// Doc accumulates one row document in a chosen format.
+// Doc accumulates one row document in a chosen format. csvWriter and
+// jsonWriter are its two implementations.
 type Doc interface {
 	// Row appends one record of typed cells (see Secs, Fix2, Fix4).
 	Row(cells ...any)
@@ -224,27 +227,24 @@ type Doc interface {
 	String() string
 }
 
-type csvDoc struct{ w *csvWriter }
-
-func (d csvDoc) Row(cells ...any) { d.w.row(cells...) }
-func (d csvDoc) String() string   { return d.w.String() }
-
-type jsonDoc struct{ w *jsonWriter }
-
-func (d jsonDoc) Row(cells ...any) { d.w.row(cells...) }
-func (d jsonDoc) String() string   { return d.w.String() }
-
 // NewDoc starts a document with the given header columns. CSV and JSON are
 // supported; Table callers keep their historical hand-rolled layouts.
 func NewDoc(f Format, cols ...string) (Doc, error) {
+	if d := newDoc(f, cols); d != nil {
+		return d, nil
+	}
+	return nil, fmt.Errorf("experiments: no row document for format %q", f)
+}
+
+// newDoc is NewDoc without the error: nil for Table.
+func newDoc(f Format, cols []string) Doc {
 	switch f {
 	case CSV:
-		return csvDoc{newCSV(cols...)}, nil
+		return newCSV(cols...)
 	case JSON:
-		return jsonDoc{newJSON(cols...)}, nil
-	default:
-		return nil, fmt.Errorf("experiments: no row document for format %q", f)
+		return newJSON(cols...)
 	}
+	return nil
 }
 
 // textTable accumulates one human-readable table: a title line, a header

@@ -99,18 +99,9 @@ func ZooTable(cells []ZooCell) string {
 	return t.String()
 }
 
-var zooCols = []string{"policy", "mean_s", "p95_s", "makespan_s", "util", "overhead"}
-
-func zooRows(cells []ZooCell) func(rowWriter) {
-	return func(w rowWriter) {
+var zooView = view[[]ZooCell]{ZooTable, []string{"policy", "mean_s", "p95_s", "makespan_s", "util", "overhead"},
+	func(cells []ZooCell, d Doc) {
 		for _, c := range cells {
-			w.row(c.Label, secs(c.Mean), secs(c.P95), secs(c.Makespan), fix4(c.Util), fix4(c.Overhead))
+			d.Row(c.Label, secs(c.Mean), secs(c.P95), secs(c.Makespan), fix4(c.Util), fix4(c.Overhead))
 		}
-	}
-}
-
-// ZooCSV renders E14.
-func ZooCSV(cells []ZooCell) string { return renderCSV(zooCols, zooRows(cells)) }
-
-// ZooJSON renders E14 as JSON rows.
-func ZooJSON(cells []ZooCell) string { return renderJSON(zooCols, zooRows(cells)) }
+	}}

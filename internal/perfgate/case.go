@@ -108,8 +108,8 @@ type Case struct {
 	// Name is the case's ledger identity; baselines match on it, so it
 	// must be stable across commits. Defaults to the filename stem.
 	Name string `json:"name"`
-	// Group batches cases for scripts/bench.sh delegation ("kernel",
-	// "fork", "arrivals", "serve", "sweep").
+	// Group batches cases for `cmd/perfgate -group` ("kernel", "fork",
+	// "arrivals", "serve", "sweep").
 	Group string `json:"group"`
 	// Description is carried verbatim into ledger entries.
 	Description string `json:"description"`

@@ -36,7 +36,7 @@ func TestRepoCasesLoadAndResolve(t *testing.T) {
 			t.Errorf("case %s: workload %q not registered (have %v)", c.Name, c.Workload, workloads.Names())
 		}
 		if !groups[c.Group] {
-			t.Errorf("case %s: group %q is not one scripts/bench.sh dispatches", c.Name, c.Group)
+			t.Errorf("case %s: group %q is not one of the cmd/perfgate -group values", c.Name, c.Group)
 		}
 	}
 }

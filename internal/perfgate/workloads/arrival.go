@@ -71,7 +71,7 @@ func OpenPeakRSS(b B) {
 		var res *metrics.Result
 		var err error
 		start := time.Now()
-		p := peakHeapDuring(func() {
+		p := PeakHeapDuring(func() {
 			res, err = core.Run(cfg)
 		})
 		elapsed += time.Since(start)
@@ -91,12 +91,11 @@ func OpenPeakRSS(b B) {
 	}
 }
 
-// peakHeapDuring runs f while sampling the live heap, returning the peak
+// PeakHeapDuring runs f while sampling the live heap, returning the peak
 // observed live-set size in bytes. Each sample forces a GC so HeapAlloc
-// measures retained memory, not collection cadence. (The open-gate
-// integration test keeps its own copy: tests cannot import non-test
-// helpers from here without dragging serve into the integration package.)
-func peakHeapDuring(f func()) uint64 {
+// measures retained memory, not collection cadence. The open-gate
+// integration test measures with it too.
+func PeakHeapDuring(f func()) uint64 {
 	var peak atomic.Uint64
 	stop := make(chan struct{})
 	done := make(chan struct{})

@@ -59,65 +59,102 @@ func (h *latencyHistogram) observe(d time.Duration) {
 }
 
 // render writes the histogram in exposition format (cumulative buckets).
-func (h *latencyHistogram) render(b *strings.Builder, name, help string) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+func (h *latencyHistogram) render(e Exposition, name, help string) {
+	e.Family(name, help, "histogram")
 	var cum int64
 	for i, ub := range latencyBounds {
 		cum += h.buckets[i].Load()
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(ub, 'g', -1, 64), cum)
+		e.Labelled(name+"_bucket", "le", strconv.FormatFloat(ub, 'g', -1, 64), cum)
 	}
 	count := h.count.Load()
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, count)
-	fmt.Fprintf(b, "%s_sum %.9f\n", name, float64(h.sumNS.Load())/1e9)
-	fmt.Fprintf(b, "%s_count %d\n", name, count)
+	e.Labelled(name+"_bucket", "le", "+Inf", count)
+	fmt.Fprintf(e.b, "%s_sum %.9f\n%s_count %d\n", name, float64(h.sumNS.Load())/1e9, name, count)
 }
 
 // render writes the exposition text. Gauges (queue depth, in-flight, cache
 // occupancy) are sampled at scrape time from their owning structures.
 func (m *serverMetrics) render(b *strings.Builder, adm *admission, cache *resultCache, store *diskStore, draining bool) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("schedd_requests_total", "Run requests accepted for processing.", m.requests.Load())
-	counter("schedd_bad_requests_total", "Run requests rejected as malformed.", m.badRequests.Load())
-	counter("schedd_rejected_total", "Run requests shed with 429 because the admission queue was full.", m.rejected.Load())
-	counter("schedd_drain_shed_total", "Queued run requests shed with 503 when a drain began.", m.shedOnDrain.Load())
-	counter("schedd_cancelled_total", "Run requests abandoned by deadline or client disconnect.", m.cancelled.Load())
-	counter("schedd_failed_total", "Run requests that failed in the simulator.", m.failed.Load())
-	counter("schedd_cache_hits_total", "Run requests answered from the result cache.", m.cacheHits.Load())
-	counter("schedd_cache_misses_total", "Run requests that had to simulate.", m.cacheMisses.Load())
+	e := NewExposition(b)
+	e.Counter("schedd_requests_total", "Run requests accepted for processing.", m.requests.Load())
+	e.Counter("schedd_bad_requests_total", "Run requests rejected as malformed.", m.badRequests.Load())
+	e.Counter("schedd_rejected_total", "Run requests shed with 429 because the admission queue was full.", m.rejected.Load())
+	e.Counter("schedd_drain_shed_total", "Queued run requests shed with 503 when a drain began.", m.shedOnDrain.Load())
+	e.Counter("schedd_cancelled_total", "Run requests abandoned by deadline or client disconnect.", m.cancelled.Load())
+	e.Counter("schedd_failed_total", "Run requests that failed in the simulator.", m.failed.Load())
+	e.Counter("schedd_cache_hits_total", "Run requests answered from the result cache.", m.cacheHits.Load())
+	e.Counter("schedd_cache_misses_total", "Run requests that had to simulate.", m.cacheMisses.Load())
 
 	entries, bytes, peak := cache.stats()
-	gauge("schedd_cache_entries", "Resident result cache entries.", int64(entries))
-	gauge("schedd_cache_bytes", "Resident result cache body bytes.", bytes)
-	gauge("schedd_cache_peak_bytes", "High-watermark of resident result cache body bytes.", peak)
+	e.Gauge("schedd_cache_entries", "Resident result cache entries.", int64(entries))
+	e.Gauge("schedd_cache_bytes", "Resident result cache body bytes.", bytes)
+	e.Gauge("schedd_cache_peak_bytes", "High-watermark of resident result cache body bytes.", peak)
 	if store != nil {
-		counter("schedd_store_hits_total", "Requests answered from the tier-2 disk store.", m.storeHits.Load())
-		counter("schedd_store_flush_total", "Results flushed to the tier-2 disk store.", m.storeFlush.Load())
-		counter("schedd_store_warmed_total", "Cache entries warmed from the tier-2 store at startup.", m.storeWarmed.Load())
+		e.Counter("schedd_store_hits_total", "Requests answered from the tier-2 disk store.", m.storeHits.Load())
+		e.Counter("schedd_store_flush_total", "Results flushed to the tier-2 disk store.", m.storeFlush.Load())
+		e.Counter("schedd_store_warmed_total", "Cache entries warmed from the tier-2 store at startup.", m.storeWarmed.Load())
 		sEntries, sBytes := store.stats()
-		gauge("schedd_store_entries", "Results resident in the tier-2 disk store.", int64(sEntries))
-		gauge("schedd_store_bytes", "Bytes resident in the tier-2 disk store.", sBytes)
+		e.Gauge("schedd_store_entries", "Results resident in the tier-2 disk store.", int64(sEntries))
+		e.Gauge("schedd_store_bytes", "Bytes resident in the tier-2 disk store.", sBytes)
 	}
-	gauge("schedd_queue_depth", "Requests waiting for an engine slot.", adm.queued())
-	gauge("schedd_inflight", "Requests currently simulating.", adm.inflight())
-	gauge("schedd_retry_after_seconds", "Current Retry-After hint derived from the observed queue drain rate.", int64(adm.retryAfterSeconds()))
+	e.Gauge("schedd_queue_depth", "Requests waiting for an engine slot.", adm.queued())
+	e.Gauge("schedd_inflight", "Requests currently simulating.", adm.inflight())
+	e.Gauge("schedd_retry_after_seconds", "Current Retry-After hint derived from the observed queue drain rate.", int64(adm.retryAfterSeconds()))
 	var d int64
 	if draining {
 		d = 1
 	}
-	gauge("schedd_draining", "1 while the server is draining for shutdown.", d)
+	e.Gauge("schedd_draining", "1 while the server is draining for shutdown.", d)
 
-	m.latency.render(b, "schedd_request_duration_seconds",
+	m.latency.render(e, "schedd_request_duration_seconds",
 		"Wall-clock duration of simulation requests (hits, misses, sheds and failures).")
 
 	// Simulation throughput: simulated seconds produced per wall second is
 	// simply the ratio of these two counters over any scrape interval.
-	fmt.Fprintf(b, "# HELP schedd_sim_seconds_total Simulated seconds produced by single-config runs.\n# TYPE schedd_sim_seconds_total counter\nschedd_sim_seconds_total %.6f\n",
+	e.Seconds("schedd_sim_seconds_total", "Simulated seconds produced by single-config runs.",
 		float64(m.simMicros.Load())/1e6)
-	fmt.Fprintf(b, "# HELP schedd_sim_wall_seconds_total Wall-clock seconds spent executing simulations.\n# TYPE schedd_sim_wall_seconds_total counter\nschedd_sim_wall_seconds_total %.6f\n",
+	e.Seconds("schedd_sim_wall_seconds_total", "Wall-clock seconds spent executing simulations.",
 		float64(m.simWallNanos.Load())/1e9)
 }
+
+// Exposition writes metrics in the Prometheus text exposition format
+// (version 0.0.4). It is the one renderer behind schedd's and the cluster
+// coordinator's /metrics: every family gets its HELP and TYPE lines, and
+// label values are escaped as the format requires.
+type Exposition struct{ b *strings.Builder }
+
+// NewExposition writes into b.
+func NewExposition(b *strings.Builder) Exposition { return Exposition{b} }
+
+// Family writes the HELP and TYPE lines that open a metric family.
+func (e Exposition) Family(name, help, typ string) {
+	fmt.Fprintf(e.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// Counter writes a whole unlabelled counter family.
+func (e Exposition) Counter(name, help string, v int64) {
+	e.Family(name, help, "counter")
+	fmt.Fprintf(e.b, "%s %d\n", name, v)
+}
+
+// Gauge writes a whole unlabelled gauge family.
+func (e Exposition) Gauge(name, help string, v int64) {
+	e.Family(name, help, "gauge")
+	fmt.Fprintf(e.b, "%s %d\n", name, v)
+}
+
+// Seconds writes a whole unlabelled counter family of seconds, to the
+// microsecond.
+func (e Exposition) Seconds(name, help string, v float64) {
+	e.Family(name, help, "counter")
+	fmt.Fprintf(e.b, "%s %.6f\n", name, v)
+}
+
+// Labelled writes one sample of a family opened with Family, carrying a
+// single label.
+func (e Exposition) Labelled(name, label, value string, v int64) {
+	fmt.Fprintf(e.b, "%s{%s=\"%s\"} %d\n", name, label, labelEscaper.Replace(value), v)
+}
+
+// labelEscaper applies the text format's label-value escapes: backslash,
+// double quote and newline, and nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

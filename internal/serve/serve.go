@@ -15,8 +15,8 @@
 //     at most QueueDepth requests wait; everyone else gets 429 +
 //     Retry-After immediately, with the hint derived from the observed
 //     queue drain rate. Each admitted request carries a deadline, and a
-//     client that disconnects cancels its engine work via context
-//     propagation into ExecuteAllCtx.
+//     client that disconnects cancels its engine work via the request
+//     context in engine.Options.
 //
 //   - Observability. /metrics exposes Prometheus-format counters, gauges
 //     and a request-latency histogram (requests, cache hits/misses, queue
@@ -363,14 +363,12 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		start: start, key: PointKey(cfgHash), format: "point",
 		timeoutMS: req.TimeoutMS,
 		compute: func(ctx context.Context) ([]byte, string, error) {
-			plan := engine.NewPlan[*metrics.Result]("serve/point")
-			plan.Add(cfg.Label(), func() (*metrics.Result, error) { return core.Run(cfg) })
-			results, err := engine.ExecuteCtx(ctx, plan, engine.Options{Workers: s.opts.Workers, Ctx: ctx})
+			res, err := s.runOne(ctx, "serve/point", cfg.Label(), func() (*metrics.Result, error) { return core.Run(cfg) })
 			if err != nil {
 				return nil, "", err
 			}
-			s.metrics.simMicros.Add(int64(results[0].Makespan))
-			return encodePointSummary(PointSummaryFrom(results[0])), pointContentType, nil
+			s.metrics.simMicros.Add(int64(res.Makespan))
+			return encodePointSummary(PointSummaryFrom(res)), pointContentType, nil
 		},
 	})
 }
@@ -420,16 +418,14 @@ func (s *Server) handleFork(w http.ResponseWriter, r *http.Request) {
 		start: start, key: ForkKey(cfgHash, req.Snapshot, req.Divergence), format: "fork",
 		timeoutMS: req.TimeoutMS,
 		compute: func(ctx context.Context) ([]byte, string, error) {
-			plan := engine.NewPlan[*metrics.Result]("serve/fork")
-			plan.Add(cfg.Label(), func() (*metrics.Result, error) {
+			res, err := s.runOne(ctx, "serve/fork", cfg.Label(), func() (*metrics.Result, error) {
 				return core.ResumeFromSnapshot(cfg, snap, div)
 			})
-			results, err := engine.ExecuteCtx(ctx, plan, engine.Options{Workers: s.opts.Workers, Ctx: ctx})
 			if err != nil {
 				return nil, "", err
 			}
-			s.metrics.simMicros.Add(int64(results[0].Makespan - snap.T))
-			return encodePointSummary(PointSummaryFrom(results[0])), pointContentType, nil
+			s.metrics.simMicros.Add(int64(res.Makespan - snap.T))
+			return encodePointSummary(PointSummaryFrom(res)), pointContentType, nil
 		},
 	})
 }
@@ -572,26 +568,34 @@ func (s *Server) executeFailure(w http.ResponseWriter, ctx context.Context, err 
 // distinct code.
 const statusClientClosedRequest = 499
 
+// runOne executes one simulation as a one-point engine plan, so
+// cancellation through the request context and panic isolation apply to
+// single runs exactly as to named experiments.
+func (s *Server) runOne(ctx context.Context, name, label string, run func() (*metrics.Result, error)) (*metrics.Result, error) {
+	plan := engine.NewPlan[*metrics.Result](name)
+	plan.Add(label, run)
+	results, err := engine.Execute(plan, engine.Options{Workers: s.opts.Workers, Ctx: ctx})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
 // execute runs the request on the engine. Named experiments execute their
-// plan with the request context in engine.Options; single runs wrap
-// core.Run in a one-point plan so cancellation and panic isolation apply
-// uniformly.
+// plan with the request context in engine.Options; single runs go through
+// runOne.
 func (s *Server) execute(ctx context.Context, cfg core.Config, entry *experiments.CatalogEntry, format experiments.Format) (body []byte, contentType string, err error) {
-	opts := engine.Options{Workers: s.opts.Workers, Ctx: ctx}
 	if entry != nil {
-		out, err := entry.Run(cfg, format, opts)
+		out, err := entry.Run(cfg, format, engine.Options{Workers: s.opts.Workers, Ctx: ctx})
 		if err != nil {
 			return nil, "", err
 		}
 		return []byte(out), format.ContentType(), nil
 	}
-	plan := engine.NewPlan[*metrics.Result]("serve/run")
-	plan.Add(cfg.Label(), func() (*metrics.Result, error) { return core.Run(cfg) })
-	results, err := engine.ExecuteCtx(ctx, plan, opts)
+	res, err := s.runOne(ctx, "serve/run", cfg.Label(), func() (*metrics.Result, error) { return core.Run(cfg) })
 	if err != nil {
 		return nil, "", err
 	}
-	res := results[0]
 	s.metrics.simMicros.Add(int64(res.Makespan))
 	switch format {
 	case experiments.CSV:

@@ -187,7 +187,7 @@ func TestScheddQueuedDeadline(t *testing.T) {
 
 // TestScheddClientDisconnectFreesQueue: a client that goes away while
 // queued releases its queue position (its engine work is never started; an
-// in-flight engine plan stops dispatching via engine.ExecuteAllCtx, which
+// in-flight engine plan stops dispatching via engine.Options.Ctx, which
 // has its own tests).
 func TestScheddClientDisconnectFreesQueue(t *testing.T) {
 	s := testServer(t, Options{MaxInflight: 1, QueueDepth: 4})

@@ -40,6 +40,14 @@ go test -race -run 'Schedd' -count=1 ./internal/serve ./cmd/schedd
 # loudly if they are renamed or skipped.
 go test -race -run 'Cluster|ScheddWorkerLifecycle' -count=1 ./internal/cluster ./cmd/schedd
 
+# Render gate: every catalog experiment, the single-run summary and the
+# fault-study documents render byte-identical to pinned testdata as table,
+# CSV and JSON (TestRender*), and the schedd and coordinator /metrics
+# bodies match their pinned exposition (Test*Exposition*). Redundant with
+# the full race run above, but kept explicit so a refactor that renames or
+# skips the pins fails loudly here.
+go test -race -run 'Render|Exposition' -count=1 ./internal/experiments ./internal/serve ./internal/cluster
+
 # Chaos gate: crash safety at the process level, wall clock bounded by
 # -timeout. Real coordinator and worker processes are SIGKILLed and
 # restarted mid-sweep and the network path takes resets and latency;
@@ -78,7 +86,7 @@ go test -run '^$' -bench BenchmarkSweepParallel -benchtime 1x .
 
 # Kernel hot-path smoke (make bench-smoke): the event-pool / timer / router
 # micro-benchmarks must keep compiling and running; full-precision numbers
-# go to the BENCH_*.json ledger via scripts/bench.sh.
+# go to the BENCH_*.json ledger via `go run ./cmd/perfgate -group kernel`.
 go test -run '^$' -bench 'BenchmarkKernel|BenchmarkNetworkAllToAll' -benchmem -benchtime 1x .
 
 # Perf gate (make perf-gate): the declarative workload cases under
