@@ -1,0 +1,79 @@
+package comm
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/sim"
+	"repro/internal/topology"
+)
+
+// TestParkReasonRouterAndRecv pins the stall report of an idle network, a
+// receiver waiting on its mailbox, and a router daemon mid-DMA.
+func TestParkReasonRouterAndRecv(t *testing.T) {
+	k, mach, net := rig(t, topology.Linear, 2, StoreForward, 1<<20)
+	src := net.NewMailbox(0)
+	dst := net.NewMailbox(1)
+	k.Spawn("receiver", func(p *sim.Proc) {
+		task := mach.Node(1).CPU.NewTask("receiver", machine.PriLow)
+		net.Recv(p, task, dst)
+	})
+	k.RunUntil(0)
+	want := []string{
+		"router0.deliver (parked: router delivery idle)",
+		"router0.port0 (parked: router port idle)",
+		"router1.deliver (parked: router delivery idle)",
+		"router1.port0 (parked: router port idle)",
+		"receiver (parked: recv on n1.b0)",
+	}
+	if got := k.ParkedProcs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("idle network: ParkedProcs() = %q, want %q", got, want)
+	}
+
+	k.Spawn("sender", func(p *sim.Proc) {
+		task := mach.Node(0).CPU.NewTask("sender", machine.PriLow)
+		net.Send(p, task, &Message{Src: src.Addr(), Dst: dst.Addr(), Bytes: 1500, Tag: "x"})
+	})
+	// Send overhead 10µs, router hop 20µs, then 2µs latency plus 1500µs
+	// on the wire.
+	k.RunUntil(500)
+	want[1] = "router0.port0 (parked: sleep 1.502ms)"
+	if got := k.ParkedProcs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("mid-transfer: ParkedProcs() = %q, want %q", got, want)
+	}
+}
+
+// TestAbortScrubsRecvWaiter: aborting a process blocked in Recv unwinds it
+// with Aborted and removes it from the mailbox's waiters, so a later
+// delivery stays queued instead of waking a dead process.
+func TestAbortScrubsRecvWaiter(t *testing.T) {
+	k, mach, net := rig(t, topology.Linear, 2, StoreForward, 1<<20)
+	src := net.NewMailbox(0)
+	dst := net.NewMailbox(1)
+	aborted := false
+	victim := k.Spawn("victim", func(p *sim.Proc) {
+		defer func() {
+			if _, ok := recover().(sim.Aborted); ok {
+				aborted = true
+			}
+		}()
+		task := mach.Node(1).CPU.NewTask("victim", machine.PriLow)
+		net.Recv(p, task, dst)
+		t.Error("Recv returned after abort")
+	})
+	k.At(10, victim.Abort)
+	k.At(20, func() {
+		k.Spawn("sender", func(p *sim.Proc) {
+			task := mach.Node(0).CPU.NewTask("sender", machine.PriLow)
+			net.Send(p, task, &Message{Src: src.Addr(), Dst: dst.Addr(), Bytes: 8, Tag: "x"})
+		})
+	})
+	k.Run()
+	if !aborted {
+		t.Fatal("victim did not unwind with Aborted")
+	}
+	if len(dst.waiters) != 0 || dst.Len() != 1 {
+		t.Errorf("mailbox has %d waiters and %d queued messages, want 0 and 1", len(dst.waiters), dst.Len())
+	}
+}
