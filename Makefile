@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke perf-gate sweep-bench determinism policy-gate serve-gate cluster-gate chaos-gate fork-gate open-gate schedd figures fault ci fmt
+.PHONY: all build vet test race bench bench-smoke perf-gate sweep-bench determinism policy-gate proc-gate serve-gate cluster-gate chaos-gate fork-gate open-gate schedd figures fault ci fmt
 
 all: build
 
@@ -53,6 +53,12 @@ determinism:
 # CI runs this.
 policy-gate:
 	$(GO) test -race -run 'PolicyGate|GoldenValues|HashCompat' -count=1 ./internal/core ./internal/integration
+
+# Process-layer contract under the race detector: pinned park reasons and
+# deadlock diagnosis, body panics, aborts scrubbing waiters, Shutdown
+# unwinding parked processes. CI runs this.
+proc-gate:
+	$(GO) test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose' -count=1 ./internal/sim ./internal/machine ./internal/comm ./internal/mem ./internal/sched
 
 # Serving invariants under the race detector (cache hits byte-identical,
 # backpressure sheds, SIGTERM drains, metrics agree). CI runs this.

@@ -30,7 +30,7 @@ func main() {
 		casesDir = flag.String("cases", "perf/cases", "directory of case files")
 		ledger   = flag.String("ledger", ".", "directory holding BENCH_*.json")
 		runExpr  = flag.String("run", "", "only run cases whose name matches this regexp")
-		group    = flag.String("group", "", "only run cases in this group (kernel, sweep, fork, arrivals, serve)")
+		group    = flag.String("group", "", "only run cases in this group (kernel, proc, sweep, fork, arrivals, serve)")
 		class    = flag.String("class", "", "override the detected machine class")
 		date     = flag.String("date", "", "override the entry date (YYYY-MM-DD, default today)")
 		list     = flag.Bool("list", false, "list matching cases and exit")

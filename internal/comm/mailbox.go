@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -28,7 +29,7 @@ func (b *Mailbox) deliver(m *Message) {
 	b.queue = append(b.queue, m)
 	if len(b.waiters) > 0 {
 		w := b.waiters[0]
-		b.waiters = b.waiters[1:]
+		b.waiters = slices.Delete(b.waiters, 0, 1)
 		w.Wake()
 	}
 }
@@ -41,14 +42,20 @@ func (b *Mailbox) take(p *sim.Proc) *Message {
 	defer b.removeWaiter(p)
 	for len(b.queue) == 0 {
 		b.waiters = append(b.waiters, p)
-		p.Park(fmt.Sprintf("recv on %v", b.addr))
+		p.ParkFor((*recvWhy)(b))
 		// A spurious wake leaves us queued as a waiter twice; scrub.
 		b.removeWaiter(p)
 	}
 	m := b.queue[0]
-	b.queue = b.queue[1:]
+	b.queue = slices.Delete(b.queue, 0, 1)
 	return m
 }
+
+// recvWhy is the lazily formatted park reason of a process waiting on its
+// mailbox.
+type recvWhy Mailbox
+
+func (b *recvWhy) String() string { return fmt.Sprintf("recv on %v", b.addr) }
 
 func (b *Mailbox) removeWaiter(p *sim.Proc) {
 	for i, w := range b.waiters {

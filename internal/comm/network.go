@@ -247,8 +247,10 @@ func (n *Network) Send(p *sim.Proc, task *machine.Task, m *Message) {
 	m.SentAt = n.k.Now()
 	n.stats.MessagesSent++
 	n.stats.PayloadBytes += m.Bytes
-	trace.Emit(n.tracer, n.k.Now(), "msg", fmt.Sprintf("%s->%s", m.Src, m.Dst),
-		fmt.Sprintf("send %q %dB", m.Tag, m.Bytes))
+	if n.tracer != nil {
+		trace.Emit(n.tracer, n.k.Now(), "msg", fmt.Sprintf("%s->%s", m.Src, m.Dst),
+			fmt.Sprintf("send %q %dB", m.Tag, m.Bytes))
+	}
 	switch n.mode {
 	case StoreForward:
 		if n.retryTimeout > 0 {
@@ -324,8 +326,10 @@ func (n *Network) deliver(m *Message) {
 	m.DeliveredAt = n.k.Now()
 	n.stats.MessagesDelivered++
 	n.stats.TotalLatency += m.DeliveredAt - m.SentAt
-	trace.Emit(n.tracer, n.k.Now(), "msg", fmt.Sprintf("%s->%s", m.Src, m.Dst),
-		fmt.Sprintf("deliver %q after %d hops, %s", m.Tag, m.HopsTaken, m.DeliveredAt-m.SentAt))
+	if n.tracer != nil {
+		trace.Emit(n.tracer, n.k.Now(), "msg", fmt.Sprintf("%s->%s", m.Src, m.Dst),
+			fmt.Sprintf("deliver %q after %d hops, %s", m.Tag, m.HopsTaken, m.DeliveredAt-m.SentAt))
+	}
 	box.deliver(m)
 }
 

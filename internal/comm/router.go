@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -38,9 +39,16 @@ func (q *msgQueue) pop(p *sim.Proc, what string) *Message {
 		p.Park(what)
 	}
 	m := q.queue[0]
-	q.queue = q.queue[1:]
+	q.queue = slices.Delete(q.queue, 0, 1) // in place: keeps the capacity
 	return m
 }
+
+// The router daemons' idle park reasons. The daemons are spawned parked
+// with them, so a router that never carries a message runs no coroutine.
+const (
+	deliveryIdle = "router delivery idle"
+	portIdle     = "router port idle"
+)
 
 func newRouter(n *Network, local int) *router {
 	r := &router{net: n, local: local}
@@ -48,9 +56,9 @@ func newRouter(n *Network, local int) *router {
 
 	r.deliveryQ = &msgQueue{}
 	dTask := node.CPU.NewTask(fmt.Sprintf("router%d.deliver", local), machine.PriHigh)
-	r.deliveryQ.daemon = n.k.Spawn(fmt.Sprintf("router%d.deliver", local), func(p *sim.Proc) {
+	r.deliveryQ.daemon = n.k.SpawnParked(fmt.Sprintf("router%d.deliver", local), deliveryIdle, func(p *sim.Proc) {
 		for {
-			m := r.deliveryQ.pop(p, "router delivery idle")
+			m := r.deliveryQ.pop(p, deliveryIdle)
 			dTask.Compute(p, n.cost.RouterHopOverhead)
 			n.deliver(m)
 		}
@@ -63,7 +71,7 @@ func newRouter(n *Network, local int) *router {
 		q := &msgQueue{}
 		r.portQ[port] = q
 		task := node.CPU.NewTask(fmt.Sprintf("router%d.port%d", local, port), machine.PriHigh)
-		q.daemon = n.k.Spawn(fmt.Sprintf("router%d.port%d", local, port), func(p *sim.Proc) {
+		q.daemon = n.k.SpawnParked(fmt.Sprintf("router%d.port%d", local, port), portIdle, func(p *sim.Proc) {
 			r.forwardLoop(p, task, q, nb)
 		})
 	}
@@ -109,7 +117,7 @@ func (r *router) forwardLoop(p *sim.Proc, task *machine.Task, q *msgQueue, nb in
 	half := n.link(r.local, nb)
 	nbMem := n.NodeOf(nb).Mem
 	for {
-		m := q.pop(p, "router port idle")
+		m := q.pop(p, portIdle)
 		task.Compute(p, n.cost.RouterHopOverhead)
 		// The link may have failed while the message was queued (or while
 		// this daemon was busy); hand it back to routing for a detour.

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -63,7 +64,11 @@ type Task struct {
 	quantum sim.Time
 
 	suspended bool
-	burst     *burst
+	// burst is the in-flight compute demand, nil when idle. It points at
+	// own while a Compute is outstanding; own is the reused record, so a
+	// burst costs no allocation.
+	burst *burst
+	own   burst
 }
 
 // NoGroup is the group of tasks that do not belong to a scheduled job.
@@ -105,6 +110,7 @@ type CPU struct {
 	current     *burst
 	sliceStart  sim.Time
 	sliceTimer  sim.Timer
+	sliceEnd    func()   // onSliceEnd, bound once for the slice timers
 	curOverhead sim.Time // group-switch overhead at the head of this slice
 
 	switchCost   sim.Time
@@ -119,7 +125,9 @@ func NewCPU(k *sim.Kernel, node int, quantum sim.Time) *CPU {
 	if quantum <= 0 {
 		panic(fmt.Sprintf("machine: node %d quantum %v", node, quantum))
 	}
-	return &CPU{k: k, node: node, quantum: quantum, lastLowGroup: noGroupSentinel}
+	c := &CPU{k: k, node: node, quantum: quantum, lastLowGroup: noGroupSentinel}
+	c.sliceEnd = c.onSliceEnd
+	return c
 }
 
 // noGroupSentinel never compares equal to any task group, so the first
@@ -178,16 +186,23 @@ func (t *Task) Compute(p *sim.Proc, d sim.Time) {
 	if t.burst != nil {
 		panic(fmt.Sprintf("machine: task %q issued overlapping bursts", t.name))
 	}
-	done := false
-	b := &burst{task: t, owner: p, remaining: d, prio: t.prio, onDone: func() { done = true }}
+	b := &t.own
+	*b = burst{task: t, owner: p, remaining: d, prio: t.prio}
 	t.burst = b
 	if !t.suspended {
 		t.cpu.submit(b)
 	}
-	for !done {
-		p.Park(fmt.Sprintf("cpu burst on node %d", t.cpu.node))
+	// complete clears t.burst before it wakes the owner.
+	for t.burst == b {
+		p.ParkFor((*burstWhy)(t.cpu))
 	}
 }
+
+// burstWhy is the lazily formatted park reason of a process waiting on a
+// compute burst.
+type burstWhy CPU
+
+func (c *burstWhy) String() string { return fmt.Sprintf("cpu burst on node %d", c.node) }
 
 // Suspend makes the task ineligible to run. If its burst is queued it is
 // removed; if it is running it is preempted immediately with its remaining
@@ -338,7 +353,7 @@ func (c *CPU) trimSliceToQuantum() {
 		return
 	}
 	c.sliceTimer.Stop()
-	c.sliceTimer = c.k.At(end, c.onSliceEnd)
+	c.sliceTimer = c.k.At(end, c.sliceEnd)
 }
 
 // dispatch starts the next burst if the CPU is idle.
@@ -346,14 +361,17 @@ func (c *CPU) dispatch() {
 	if c.current != nil {
 		return
 	}
+	// Pops shift in place (slices.Delete) rather than reslicing past the
+	// head, which would shrink the capacity until the next append
+	// reallocates.
 	var b *burst
 	switch {
 	case len(c.highQ) > 0:
 		b = c.highQ[0]
-		c.highQ = c.highQ[1:]
+		c.highQ = slices.Delete(c.highQ, 0, 1)
 	case len(c.lowQ) > 0:
 		b = c.lowQ[0]
-		c.lowQ = c.lowQ[1:]
+		c.lowQ = slices.Delete(c.lowQ, 0, 1)
 	default:
 		return
 	}
@@ -374,7 +392,7 @@ func (c *CPU) dispatch() {
 		c.lastLowGroup = groupOf(b)
 	}
 	c.curOverhead = ov
-	c.sliceTimer = c.k.After(ov+run, c.onSliceEnd)
+	c.sliceTimer = c.k.After(ov+run, c.sliceEnd)
 }
 
 // stopSlice cancels the running slice and charges the elapsed time: first to

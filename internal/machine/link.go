@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -83,10 +84,16 @@ func (h *HalfLink) Acquire(p *sim.Proc) {
 		}
 	}()
 	for !w.granted {
-		p.Park(fmt.Sprintf("acquire %s", h.name))
+		p.ParkFor((*acquireWhy)(h))
 	}
 	h.stats.WaitTime += h.k.Now() - w.since
 }
+
+// acquireWhy is the lazily formatted park reason of a process queued for
+// a link direction.
+type acquireWhy HalfLink
+
+func (h *acquireWhy) String() string { return "acquire " + h.name }
 
 // removeWaiter deletes a pending acquire from the queue (abort path).
 func (h *HalfLink) removeWaiter(w *linkWaiter) {
@@ -106,7 +113,7 @@ func (h *HalfLink) Release() {
 	h.stats.BusyTime += h.k.Now() - h.busyFrom
 	if len(h.waiters) > 0 {
 		w := h.waiters[0]
-		h.waiters = h.waiters[1:]
+		h.waiters = slices.Delete(h.waiters, 0, 1)
 		w.granted = true
 		h.busyFrom = h.k.Now()
 		w.proc.Wake()

@@ -62,6 +62,7 @@ type Stats struct {
 // flight; the waiting process only records its blocked time on resume.
 type waiter struct {
 	proc    *sim.Proc
+	node    int
 	bytes   int64
 	class   Class
 	since   sim.Time
@@ -172,7 +173,7 @@ func (m *MMU) Alloc(p *sim.Proc, bytes int64, class Class) {
 	if m.TryAlloc(bytes, class) {
 		return
 	}
-	w := &waiter{proc: p, bytes: bytes, class: class, since: m.k.Now()}
+	w := &waiter{proc: p, node: m.node, bytes: bytes, class: class, since: m.k.Now()}
 	m.waiters = append(m.waiters, w)
 	m.stats.BlockedAllocs++
 	// If the process is aborted while blocked here, unwind cleanly: drop the
@@ -188,10 +189,15 @@ func (m *MMU) Alloc(p *sim.Proc, bytes int64, class Class) {
 		}
 	}()
 	for !w.granted {
-		p.Park(fmt.Sprintf("mem alloc %dB on node %d", bytes, m.node))
+		p.ParkFor((*allocWhy)(w))
 	}
 	m.stats.BlockedTime += m.k.Now() - w.since
 }
+
+// allocWhy is the lazily formatted park reason of a blocked allocation.
+type allocWhy waiter
+
+func (w *allocWhy) String() string { return fmt.Sprintf("mem alloc %dB on node %d", w.bytes, w.node) }
 
 // removeWaiter deletes a pending request from the queue (abort path).
 func (m *MMU) removeWaiter(w *waiter) {

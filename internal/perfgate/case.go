@@ -21,6 +21,7 @@ type Goals struct {
 	MaxBPerOp      *float64 `json:"max_b_per_op,omitempty"`
 	MaxPeakBytes   *float64 `json:"max_peak_bytes,omitempty"`
 	MinSpeedup     *float64 `json:"min_speedup,omitempty"`
+	MinEfficiency  *float64 `json:"min_efficiency,omitempty"`
 	MaxP95Ms       *float64 `json:"max_p95_ms,omitempty"`
 	MinJobsPerSec  *float64 `json:"min_jobs_per_sec,omitempty"`
 }
@@ -40,6 +41,7 @@ var goalSpecs = []goalSpec{
 	{"max_b_per_op", "b_per_op", false, func(g Goals) *float64 { return g.MaxBPerOp }},
 	{"max_peak_bytes", "peak_bytes", false, func(g Goals) *float64 { return g.MaxPeakBytes }},
 	{"min_speedup", "speedup", true, func(g Goals) *float64 { return g.MinSpeedup }},
+	{"min_efficiency", "efficiency", true, func(g Goals) *float64 { return g.MinEfficiency }},
 	{"max_p95_ms", "p95_ms", false, func(g Goals) *float64 { return g.MaxP95Ms }},
 	{"min_jobs_per_sec", "jobs_per_sec", true, func(g Goals) *float64 { return g.MinJobsPerSec }},
 }
@@ -108,7 +110,7 @@ type Case struct {
 	// Name is the case's ledger identity; baselines match on it, so it
 	// must be stable across commits. Defaults to the filename stem.
 	Name string `json:"name"`
-	// Group batches cases for `cmd/perfgate -group` ("kernel", "fork",
+	// Group batches cases for `cmd/perfgate -group` ("kernel", "proc", "fork",
 	// "arrivals", "serve", "sweep").
 	Group string `json:"group"`
 	// Description is carried verbatim into ledger entries.

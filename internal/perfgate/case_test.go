@@ -30,7 +30,7 @@ func TestRepoCasesLoadAndResolve(t *testing.T) {
 	if len(cases) == 0 {
 		t.Fatal("no cases under perf/cases")
 	}
-	groups := map[string]bool{"kernel": true, "sweep": true, "fork": true, "arrivals": true, "serve": true}
+	groups := map[string]bool{"kernel": true, "proc": true, "sweep": true, "fork": true, "arrivals": true, "serve": true}
 	for _, c := range cases {
 		if _, ok := workloads.Lookup(c.Workload); !ok {
 			t.Errorf("case %s: workload %q not registered (have %v)", c.Name, c.Workload, workloads.Names())
@@ -117,19 +117,21 @@ func TestGoalsEvaluate(t *testing.T) {
 		MaxNsPerOp:     f(100),
 		MaxAllocsPerOp: f(0), // a zero limit must be expressible and enforced
 		MinSpeedup:     f(2),
+		MinEfficiency:  f(0.5),
 		MaxP95Ms:       f(10), // not reported by the workload below
 	}
 	checks := g.Evaluate(map[string]float64{
 		"ns_per_op":     80,
 		"allocs_per_op": 0.5,
 		"speedup":       2.0,
+		"efficiency":    0.45,
 	})
 	byGoal := map[string]GoalCheck{}
 	for _, c := range checks {
 		byGoal[c.Goal] = c
 	}
-	if len(checks) != 4 {
-		t.Fatalf("%d checks, want 4 (one per declared goal)", len(checks))
+	if len(checks) != 5 {
+		t.Fatalf("%d checks, want 5 (one per declared goal)", len(checks))
 	}
 	if c := byGoal["max_ns_per_op"]; !c.OK || c.Missing {
 		t.Errorf("max_ns_per_op: %+v, want ok (80 <= 100)", c)
@@ -139,6 +141,9 @@ func TestGoalsEvaluate(t *testing.T) {
 	}
 	if c := byGoal["min_speedup"]; !c.OK {
 		t.Errorf("min_speedup: %+v, want ok (2.0 >= 2, floors are inclusive)", c)
+	}
+	if c := byGoal["min_efficiency"]; c.OK {
+		t.Errorf("min_efficiency: %+v, want miss (0.45 < 0.5)", c)
 	}
 	if c := byGoal["max_p95_ms"]; !c.Missing || c.OK {
 		t.Errorf("max_p95_ms: %+v, want Missing (metric never reported, never a pass)", c)

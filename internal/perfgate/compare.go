@@ -51,14 +51,14 @@ type RunComparison struct {
 // lower-is-better — the conservative choice for cost-like numbers.
 func lowerBetter(metric string) bool {
 	switch metric {
-	case "speedup", "jobs_per_sec", "req_per_sec":
+	case "speedup", "efficiency", "jobs_per_sec", "req_per_sec":
 		return false
 	}
 	return true
 }
 
 // contextMetrics are recorded for reproducibility but never compared.
-var contextMetrics = map[string]bool{"workers": true}
+var contextMetrics = map[string]bool{"workers": true, "cores": true}
 
 // zeroBaselineFloor: when the baseline is exactly zero (0 allocs/op), any
 // relative delta is undefined; growth only counts as a regression past

@@ -12,8 +12,8 @@ import (
 
 // Measurement is one trial's flat metric map. Keys are ledger field
 // names: ns_per_op, b_per_op and allocs_per_op always; workload-reported
-// extras (speedup, p95_ms, jobs_per_sec, req_per_sec, peak_bytes,
-// workers) when the body emits them.
+// extras (speedup, efficiency, p95_ms, jobs_per_sec, req_per_sec,
+// peak_bytes, workers, cores) when the body emits them.
 type Measurement map[string]float64
 
 // CaseRun is the measured outcome of one case on this host.

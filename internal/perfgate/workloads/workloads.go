@@ -10,8 +10,9 @@
 //     repeated trials and take robust medians.
 //
 // Workloads report derived numbers (speedups, quantiles, throughput) via
-// ReportMetric with ledger-stable unit names: "speedup", "p95_ms",
-// "jobs_per_sec", "req_per_sec", "peak_bytes", "workers". These unit
+// ReportMetric with ledger-stable unit names: "speedup", "efficiency",
+// "p95_ms", "jobs_per_sec", "req_per_sec", "peak_bytes", "workers",
+// "cores". These unit
 // strings are the keys perfgate cases declare goals against and the field
 // names written to the BENCH_*.json ledger — renaming one breaks baseline
 // comparison, so don't.
@@ -70,6 +71,10 @@ var registry = map[string]Func{
 	"schedd-run-cached":  ScheddRunCached,
 	"schedd-run-cold":    ScheddRunCold,
 	"schedd-serve-load":  ScheddServeLoad,
+	"proc-handoff":       ProcHandoff,
+	"cpu-burst":          CPUBurst,
+	"mailbox-roundtrip":  MailboxRoundtrip,
+	"open-paper":         OpenPaper,
 }
 
 // Lookup resolves a workload by its case-file name.

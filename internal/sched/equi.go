@@ -237,6 +237,8 @@ func (s *System) equiTeardown(js *jobState) {
 	js.procs = nil
 	js.runtimes = nil
 	js.loaded = false
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "migrate", js.job.String(),
-		fmt.Sprintf("vacating %d-node block at %d", part.size, part.idx))
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "migrate", js.job.String(),
+			fmt.Sprintf("vacating %d-node block at %d", part.size, part.idx))
+	}
 }

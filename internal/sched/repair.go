@@ -96,7 +96,9 @@ func (s *System) setLinkState(a, b int, up bool) {
 	if up {
 		state = "up"
 	}
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", fmt.Sprintf("link %d-%d", a, b), state)
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", fmt.Sprintf("link %d-%d", a, b), state)
+	}
 	for _, part := range s.parts {
 		part.net.SetLinkState(a, b, up)
 	}
@@ -156,8 +158,10 @@ func (s *System) onNodeDown(g int, permanent bool) {
 	if permanent {
 		kind = "permanent"
 	}
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", fmt.Sprintf("node %d", g),
-		fmt.Sprintf("%s failure, partition %d degraded", kind, part.idx))
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", fmt.Sprintf("node %d", g),
+			fmt.Sprintf("%s failure, partition %d degraded", kind, part.idx))
+	}
 	// Kill in admission order over a snapshot: killJob mutates part.jobs.
 	for _, js := range append([]*jobState(nil), part.jobs...) {
 		s.killJob(js)
@@ -178,9 +182,11 @@ func (s *System) onNodeUp(g int) {
 	}
 	part.nodeDown[local] = false
 	part.downCount--
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", fmt.Sprintf("node %d", g),
-		fmt.Sprintf("repaired, partition %d %s", part.idx,
-			map[bool]string{true: "still degraded", false: "healthy"}[part.degraded()]))
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", fmt.Sprintf("node %d", g),
+			fmt.Sprintf("repaired, partition %d %s", part.idx,
+				map[bool]string{true: "still degraded", false: "healthy"}[part.degraded()]))
+	}
 	if part.degraded() {
 		return
 	}
@@ -248,8 +254,10 @@ func (s *System) killJob(js *jobState) {
 	js.procs = nil
 	js.runtimes = nil
 	js.loaded = false
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", js.job.String(),
-		fmt.Sprintf("killed on partition %d (restart %d)", part.idx, js.restarts))
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", js.job.String(),
+			fmt.Sprintf("killed on partition %d (restart %d)", part.idx, js.restarts))
+	}
 	s.partpol.Killed(s, part)
 }
 
@@ -277,8 +285,10 @@ func (s *System) onDeliveryFailure(part *Partition, m *comm.Message) {
 	if js == nil || js.finished {
 		return // owner already completed or was torn down by a node fault
 	}
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", js.job.String(),
-		fmt.Sprintf("message %v->%v undeliverable", m.Src, m.Dst))
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "fault", js.job.String(),
+			fmt.Sprintf("message %v->%v undeliverable", m.Src, m.Dst))
+	}
 	s.killJob(js)
 	s.requeueAfterKill(js)
 }
@@ -329,7 +339,9 @@ func (s *System) checkpointFire(js *jobState, epoch int) {
 			js.ckpt[r] = rt.ComputeDone()
 		}
 	}
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "ckpt", js.job.String(),
-		fmt.Sprintf("checkpoint %d taken", s.faultStats.Checkpoints))
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "ckpt", js.job.String(),
+			fmt.Sprintf("checkpoint %d taken", s.faultStats.Checkpoints))
+	}
 	s.k.AfterFunc(f.CheckpointInterval, func() { s.checkpointFire(js, epoch) })
 }

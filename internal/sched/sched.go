@@ -548,8 +548,10 @@ func (s *System) launch(part *Partition, js *jobState) {
 	// bumps the job's epoch instead, and the loader backs out at its next
 	// epoch check without leaving memory behind.
 	epoch := js.epoch
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "job", js.job.String(),
-		fmt.Sprintf("dispatched to partition %d", part.idx))
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "job", js.job.String(),
+			fmt.Sprintf("dispatched to partition %d", part.idx))
+	}
 	s.k.Spawn(fmt.Sprintf("load job%d", js.job.ID), func(p *sim.Proc) {
 		host := s.cfg.Machine.Host
 		host.Acquire(p)
@@ -575,8 +577,10 @@ func (s *System) launch(part *Partition, js *jobState) {
 			}
 		}
 		js.loaded = true
-		trace.Emit(s.cfg.Tracer, s.k.Now(), "load", js.job.String(),
-			fmt.Sprintf("image resident (%dB)", bytes))
+		if s.cfg.Tracer != nil {
+			trace.Emit(s.cfg.Tracer, s.k.Now(), "load", js.job.String(),
+				fmt.Sprintf("image resident (%dB)", bytes))
+		}
 		s.startProcs(part, js)
 	})
 }
@@ -670,8 +674,10 @@ func (s *System) procDone(js *jobState) {
 		s.records = append(s.records, js.rec)
 	}
 	s.remaining--
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "job", js.job.String(),
-		fmt.Sprintf("completed, response %s", js.rec.Response()))
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "job", js.job.String(),
+			fmt.Sprintf("completed, response %s", js.rec.Response()))
+	}
 	for i := 0; i < js.part.size; i++ {
 		js.part.net.NodeOf(i).Mem.FreeBytes(workload.CodeBytes)
 	}

@@ -6,10 +6,6 @@ import (
 	"sort"
 )
 
-// killSentinel is panicked inside a parked process goroutine during Shutdown
-// so that deferred cleanup runs and the goroutine exits.
-type killSentinel struct{}
-
 // nowQShedCap bounds the same-timestamp FIFO's retained capacity: a burst
 // can grow it arbitrarily, but once drained anything bigger than this is
 // released back to the garbage collector.
@@ -40,15 +36,10 @@ type Kernel struct {
 	rng     *rand.Rand
 	procs   map[*Proc]struct{}
 	nextPID int
+	idle    []*coro // coroutines of finished processes, for reuse
 
-	yield   chan struct{} // process -> kernel hand-off
 	running bool
 	stopped bool
-
-	// procPanic carries a panic raised inside a process body back to the
-	// kernel loop, where it is re-raised so tests fail loudly.
-	procPanic any
-	panicking bool
 
 	// eventsRun counts executed (non-cancelled) events — the simulator's
 	// work metric, useful for performance comparisons of model changes.
@@ -61,7 +52,6 @@ func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		rng:   rand.New(rand.NewSource(seed)),
 		procs: make(map[*Proc]struct{}),
-		yield: make(chan struct{}),
 	}
 }
 
@@ -235,7 +225,10 @@ func (k *Kernel) RunUntil(limit Time) {
 		panic("sim: RunUntil called re-entrantly")
 	}
 	k.running = true
-	defer func() { k.running = false }()
+	defer func() {
+		k.running = false
+		k.releaseIdle()
+	}()
 	for {
 		ev := k.peekNext()
 		if ev == nil || ev.at > limit {
@@ -255,12 +248,6 @@ func (k *Kernel) RunUntil(limit Time) {
 		// own Timer handles report not-pending, as they should.
 		k.recycle(ev)
 		fn()
-		if k.panicking {
-			p := k.procPanic
-			k.panicking = false
-			k.procPanic = nil
-			panic(p)
-		}
 	}
 }
 
@@ -285,12 +272,6 @@ func (k *Kernel) Step() bool {
 		fn := ev.fn
 		k.recycle(ev)
 		fn()
-		if k.panicking {
-			p := k.procPanic
-			k.panicking = false
-			k.procPanic = nil
-			panic(p)
-		}
 		return true
 	}
 }
@@ -299,28 +280,31 @@ func (k *Kernel) Step() bool {
 // maintained incrementally on schedule/fire/Stop, so this is O(1).
 func (k *Kernel) PendingEvents() int { return k.live }
 
-// Shutdown unwinds every parked process goroutine so no goroutines leak when
-// the simulation is discarded. It must be called from outside Run. After
-// Shutdown the kernel must not be reused.
+// Shutdown unwinds every started process that has not finished, running
+// its deferred cleanup, so no goroutines leak when the simulation is
+// discarded. It must be called from outside Run. After Shutdown the kernel
+// must not be reused.
 func (k *Kernel) Shutdown() {
 	if k.stopped {
 		return
 	}
 	k.stopped = true
-	// Parked processes are blocked on their resume channel; send each a kill
-	// token and wait for the goroutine to acknowledge through yield.
-	parked := make([]*Proc, 0, len(k.procs))
+	live := make([]*Proc, 0, len(k.procs))
 	for p := range k.procs {
-		if p.parked {
-			parked = append(parked, p)
+		live = append(live, p)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	for _, p := range live {
+		if p.co == nil {
+			// Never started: there is no body to unwind.
+			p.finished = true
+			delete(k.procs, p)
+			continue
 		}
+		// The parked yield returns false and Park unwinds the body.
+		p.co.stop()
 	}
-	sort.Slice(parked, func(i, j int) bool { return parked[i].id < parked[j].id })
-	for _, p := range parked {
-		p.kill = true
-		p.resume <- struct{}{}
-		<-k.yield
-	}
+	k.releaseIdle()
 }
 
 // ParkedProcs returns the names of processes currently parked, sorted by
@@ -335,10 +319,10 @@ func (k *Kernel) ParkedProcs() []string {
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	names := make([]string, len(out))
 	for i, p := range out {
-		names[i] = fmt.Sprintf("%s (parked: %s)", p.name, p.parkReason)
+		names[i] = fmt.Sprintf("%s (parked: %s)", p.name, p.reason())
 	}
 	return names
 }
 
-// LiveProcs reports the number of process goroutines that have not finished.
+// LiveProcs reports the number of processes that have not finished.
 func (k *Kernel) LiveProcs() int { return len(k.procs) }

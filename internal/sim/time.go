@@ -1,10 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock by executing events in (time, sequence)
-// order. Simulated processes are ordinary Go functions run on goroutines, but
+// order. Simulated processes are ordinary Go functions run as coroutines, and
 // the kernel enforces a strict hand-off discipline: at any instant at most one
-// process goroutine executes, and every context switch goes through the
-// kernel. Together with FIFO tie-breaking in the event queue this makes every
+// process executes, and every context switch goes through the kernel.
+// Together with FIFO tie-breaking in the event queue this makes every
 // simulation bit-reproducible for a given configuration and seed.
 //
 // The package is the foundation for the Transputer multicomputer model: nodes,

@@ -48,6 +48,17 @@ go test -race -run 'Cluster|ScheddWorkerLifecycle' -count=1 ./internal/cluster .
 # skips the pins fails loudly here.
 go test -race -run 'Render|Exposition' -count=1 ./internal/experiments ./internal/serve ./internal/cluster
 
+# Process gate: the process layer's contract under the race detector —
+# every formatted park reason and one full deadlock Diagnose body match
+# their pinned text word for word (TestParkReason*, TestDiagnose*), a
+# body panic surfaces from Run and Step with the process name
+# (TestProcPanic*), aborts unwind with Aborted and scrub link, MMU and
+# mailbox waiters (TestAbort*), and Shutdown unwinds every parked process
+# with its deferred cleanup and no leaked goroutine (TestShutdown*).
+# Redundant with the full race run above, but kept explicit so a refactor
+# that renames or skips the pins fails loudly here.
+go test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose' -count=1 ./internal/sim ./internal/machine ./internal/comm ./internal/mem ./internal/sched
+
 # Chaos gate: crash safety at the process level, wall clock bounded by
 # -timeout. Real coordinator and worker processes are SIGKILLed and
 # restarted mid-sweep and the network path takes resets and latency;
