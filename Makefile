@@ -56,9 +56,10 @@ policy-gate:
 
 # Process-layer contract under the race detector: pinned park reasons and
 # deadlock diagnosis, body panics, aborts scrubbing waiters, Shutdown
-# unwinding parked processes. CI runs this.
+# unwinding parked processes, stepper router daemons and their pinned
+# pipeline, and the event-heap oracle. CI runs this.
 proc-gate:
-	$(GO) test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose' -count=1 ./internal/sim ./internal/machine ./internal/comm ./internal/mem ./internal/sched
+	$(GO) test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose|Stepper|RouterPipeline|EventQueue' -count=1 ./internal/sim ./internal/machine ./internal/comm ./internal/mem ./internal/sched ./internal/core
 
 # Serving invariants under the race detector (cache hits byte-identical,
 # backpressure sheds, SIGTERM drains, metrics agree). CI runs this.

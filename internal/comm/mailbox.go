@@ -42,7 +42,7 @@ func (b *Mailbox) take(p *sim.Proc) *Message {
 	defer b.removeWaiter(p)
 	for len(b.queue) == 0 {
 		b.waiters = append(b.waiters, p)
-		p.ParkFor((*recvWhy)(b))
+		p.Wait((*recvWhy)(b))
 		// A spurious wake leaves us queued as a waiter twice; scrub.
 		b.removeWaiter(p)
 	}

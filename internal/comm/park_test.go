@@ -2,6 +2,8 @@ package comm
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -75,5 +77,51 @@ func TestAbortScrubsRecvWaiter(t *testing.T) {
 	}
 	if len(dst.waiters) != 0 || dst.Len() != 1 {
 		t.Errorf("mailbox has %d waiters and %d queued messages, want 0 and 1", len(dst.waiters), dst.Len())
+	}
+}
+
+// TestStepperTakesNoCoroutine: router daemons are steppers. After an
+// all-to-all on a 16-node mesh, in which every daemon forwarded or
+// delivered messages, the finished ranks' coroutines have been released
+// and no goroutine is left behind for any of the 64 daemons, which all
+// report themselves idle.
+func TestStepperTakesNoCoroutine(t *testing.T) {
+	const n = 16
+	base := runtime.NumGoroutine()
+	k, mach, net := rig(t, topology.Mesh, n, StoreForward, 4<<20)
+	boxes := make([]*Mailbox, n)
+	for j := range boxes {
+		boxes[j] = net.NewMailbox(j)
+	}
+	for j := 0; j < n; j++ {
+		j := j
+		k.Spawn("rank", func(p *sim.Proc) {
+			task := mach.Node(j).CPU.NewTask("rank", machine.PriLow)
+			for d := 0; d < n; d++ {
+				if d != j {
+					net.Send(p, task, &Message{Src: boxes[j].Addr(), Dst: boxes[d].Addr(), Bytes: 256, Tag: "a2a"})
+				}
+			}
+			for r := 0; r < n-1; r++ {
+				net.Release(net.Recv(p, task, boxes[j]))
+			}
+		})
+	}
+	k.Run()
+	if got := net.Stats().MessagesDelivered; got != n*(n-1) {
+		t.Fatalf("delivered %d messages, want %d", got, n*(n-1))
+	}
+	parked := k.ParkedProcs()
+	const daemons = 16 + 2*24 // a delivery daemon per node, one per link direction
+	if len(parked) != daemons {
+		t.Fatalf("%d parked daemons, want %d: %q", len(parked), daemons, parked)
+	}
+	for _, p := range parked {
+		if !strings.HasSuffix(p, " idle)") {
+			t.Errorf("daemon not idle after the exchange: %s", p)
+		}
+	}
+	if got := runtime.NumGoroutine(); got != base {
+		t.Errorf("%d goroutines after the exchange, want %d as before it", got, base)
 	}
 }

@@ -111,9 +111,8 @@ func (n *Network) recomputeRoutes() {
 		}
 		dist[d] = 0
 		queue := []int{d}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
 			for _, nb := range n.graph.Neighbors(v) {
 				if dist[nb] >= 0 || n.linkDown(v, nb) {
 					continue
@@ -160,7 +159,7 @@ func (n *Network) drainPort(local, nb int) {
 	if port < 0 {
 		return
 	}
-	q := n.routers[local].portQ[port]
+	q := n.routers[local].ports[port]
 	msgs := q.queue
 	q.queue = nil
 	for _, m := range msgs {

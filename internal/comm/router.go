@@ -14,13 +14,15 @@ import (
 // move data in parallel, so there is one forwarding daemon per output port
 // (plus one local-delivery daemon), but all of them charge their per-message
 // processing to the node CPU at high priority, where they contend with each
-// other and preempt application work.
+// other and preempt application work. The daemons are steppers (see
+// sim.SpawnStepper): state machines driven by their wake events, so a hop
+// costs no coroutine switch.
 type router struct {
 	net   *Network
 	local int
 
-	deliveryQ *msgQueue
-	portQ     []*msgQueue // indexed by port (ascending-neighbor order)
+	delivery *deliverer
+	ports    []*forwarder // indexed by port (ascending-neighbor order)
 }
 
 // msgQueue is a FIFO with a single daemon consumer.
@@ -34,46 +36,51 @@ func (q *msgQueue) push(m *Message) {
 	q.daemon.Wake()
 }
 
-func (q *msgQueue) pop(p *sim.Proc, what string) *Message {
+// take removes and returns the head message. On an empty queue the daemon
+// waits with reason idle, and take returns nil once it parked.
+func (q *msgQueue) take(p *sim.Proc, idle fmt.Stringer) *Message {
 	for len(q.queue) == 0 {
-		p.Park(what)
+		if p.Wait(idle) {
+			return nil
+		}
 	}
 	m := q.queue[0]
 	q.queue = slices.Delete(q.queue, 0, 1) // in place: keeps the capacity
 	return m
 }
 
-// The router daemons' idle park reasons. The daemons are spawned parked
-// with them, so a router that never carries a message runs no coroutine.
+// idleWhy is a router daemon's constant idle park reason.
+type idleWhy string
+
+func (w idleWhy) String() string { return string(w) }
+
 const (
-	deliveryIdle = "router delivery idle"
-	portIdle     = "router port idle"
+	deliveryIdle idleWhy = "router delivery idle"
+	portIdle     idleWhy = "router port idle"
 )
 
 func newRouter(n *Network, local int) *router {
 	r := &router{net: n, local: local}
-	node := n.NodeOf(local)
+	cpu := n.NodeOf(local).CPU
 
-	r.deliveryQ = &msgQueue{}
-	dTask := node.CPU.NewTask(fmt.Sprintf("router%d.deliver", local), machine.PriHigh)
-	r.deliveryQ.daemon = n.k.SpawnParked(fmt.Sprintf("router%d.deliver", local), deliveryIdle, func(p *sim.Proc) {
-		for {
-			m := r.deliveryQ.pop(p, deliveryIdle)
-			dTask.Compute(p, n.cost.RouterHopOverhead)
-			n.deliver(m)
-		}
-	})
+	d := &deliverer{r: r}
+	d.task = cpu.NewTaskNamed(d, machine.PriHigh)
+	d.daemon = n.k.SpawnStepper(d, d.step)
+	r.delivery = d
 
 	neighbors := n.graph.Neighbors(local)
-	r.portQ = make([]*msgQueue, len(neighbors))
+	r.ports = make([]*forwarder, len(neighbors))
 	for port, nb := range neighbors {
-		port, nb := port, nb
-		q := &msgQueue{}
-		r.portQ[port] = q
-		task := node.CPU.NewTask(fmt.Sprintf("router%d.port%d", local, port), machine.PriHigh)
-		q.daemon = n.k.SpawnParked(fmt.Sprintf("router%d.port%d", local, port), portIdle, func(p *sim.Proc) {
-			r.forwardLoop(p, task, q, nb)
-		})
+		f := &forwarder{
+			r:     r,
+			port:  port,
+			nb:    nb,
+			half:  n.link(local, nb),
+			nbMem: n.NodeOf(nb).Mem,
+		}
+		f.task = cpu.NewTaskNamed(f, machine.PriHigh)
+		f.daemon = n.k.SpawnStepper(f, f.step)
+		r.ports[port] = f
 	}
 	return r
 }
@@ -85,13 +92,13 @@ func newRouter(n *Network, local int) *router {
 // retry budget converts a persistent cut into a delivery-failure signal.
 func (r *router) enqueue(m *Message) {
 	if m.Dst.Node == r.local {
-		r.deliveryQ.push(m)
+		r.delivery.push(m)
 		return
 	}
 	if r.net.reroute == nil {
 		// Fault-free fast path: the static route's output port is one
 		// precomputed table load, no next-hop or port scan.
-		r.portQ[r.net.portTo[r.local][m.Dst.Node]].push(m)
+		r.ports[r.net.portTo[r.local][m.Dst.Node]].push(m)
 		return
 	}
 	next := r.net.nextHopLocal(r.local, m.Dst.Node)
@@ -103,55 +110,153 @@ func (r *router) enqueue(m *Message) {
 	if port < 0 {
 		panic(fmt.Sprintf("comm: node %d has no port toward %d", r.local, next))
 	}
-	r.portQ[port].push(m)
+	r.ports[port].push(m)
 }
 
-// forwardLoop is one output port's store-and-forward pipeline: header
+// deliverer is a node's local-delivery daemon: header processing on the
+// CPU, then hand-off to the destination mailbox. It has two states: idle
+// (m is nil) and computing m's header.
+type deliverer struct {
+	msgQueue
+	r    *router
+	task *machine.Task
+	m    *Message
+}
+
+// String is the daemon's process and task name.
+func (d *deliverer) String() string { return fmt.Sprintf("router%d.deliver", d.r.local) }
+
+func (d *deliverer) step(p *sim.Proc) {
+	for {
+		if d.m == nil {
+			if d.m = d.take(p, deliveryIdle); d.m == nil {
+				return
+			}
+			d.task.StartBurst(p, d.r.net.cost.RouterHopOverhead)
+		}
+		if d.task.AwaitBurst(p) {
+			return
+		}
+		m := d.m
+		d.m = nil
+		d.r.net.deliver(m)
+	}
+}
+
+// fwdState is where a forwarder stands in its pipeline: the wait it is in.
+type fwdState uint8
+
+const (
+	fwdIdle    fwdState = iota // no message: waiting for one
+	fwdCompute                 // header processing on the CPU
+	fwdAlloc                   // waiting for a buffer at the next node
+	fwdAcquire                 // waiting for the link direction
+	fwdSleep                   // DMA: link busy, CPU free
+)
+
+// forwarder is one output port's store-and-forward pipeline: header
 // processing on the CPU, buffer reservation at the next node (this is where
 // memory contention delays messages), link serialization, then hand-off.
-func (r *router) forwardLoop(p *sim.Proc, task *machine.Task, q *msgQueue, nb int) {
-	n := r.net
+type forwarder struct {
+	msgQueue
+	r    *router
+	port int
+	nb   int // the neighbor this port leads to
+	task *machine.Task
 	// The physical link set is fixed for the network's lifetime (only the
-	// up/down state changes), so resolve this port's half-link once instead
-	// of a map lookup per message.
-	half := n.link(r.local, nb)
-	nbMem := n.NodeOf(nb).Mem
+	// up/down state changes), so the port's half-link and the next node's
+	// memory are resolved once.
+	half  *machine.HalfLink
+	nbMem *mem.MMU
+
+	state fwdState
+	m     *Message // the message in the pipeline; nil while idle
+	wire  int64
+	memW  mem.Waiter // the buffer request at the next node
+	linkW machine.LinkWaiter
+}
+
+// String is the daemon's process and task name.
+func (f *forwarder) String() string { return fmt.Sprintf("router%d.port%d", f.r.local, f.port) }
+
+// step runs the pipeline from the wait it is in until it waits again.
+func (f *forwarder) step(p *sim.Proc) {
+	n := f.r.net
 	for {
-		m := q.pop(p, portIdle)
-		task.Compute(p, n.cost.RouterHopOverhead)
-		// The link may have failed while the message was queued (or while
-		// this daemon was busy); hand it back to routing for a detour.
-		if n.linkDown(r.local, nb) {
-			r.enqueue(m)
-			continue
+		switch f.state {
+		case fwdIdle:
+			if f.m = f.take(p, portIdle); f.m == nil {
+				return
+			}
+			f.task.StartBurst(p, n.cost.RouterHopOverhead)
+			f.state = fwdCompute
+			fallthrough
+		case fwdCompute:
+			if f.task.AwaitBurst(p) {
+				return
+			}
+			// The link may have failed while the message was queued (or
+			// while this daemon was busy); hand it back to routing for a
+			// detour.
+			if n.linkDown(f.r.local, f.nb) {
+				f.reroute()
+				continue
+			}
+			f.wire = n.wireBytes(f.m)
+			// Store-and-forward: the next node must hold the whole message.
+			f.nbMem.Request(p, f.wire, mem.ClassBuffer, &f.memW)
+			f.state = fwdAlloc
+			fallthrough
+		case fwdAlloc:
+			if f.nbMem.Await(p, &f.memW) {
+				return
+			}
+			f.half.Request(p, &f.linkW)
+			f.state = fwdAcquire
+			fallthrough
+		case fwdAcquire:
+			if f.half.Await(p, &f.linkW) {
+				return
+			}
+			if n.linkDown(f.r.local, f.nb) {
+				// Failed while we waited for the channel: give everything
+				// back and re-route.
+				f.half.Release()
+				f.nbMem.FreeBytes(f.wire)
+				f.reroute()
+				continue
+			}
+			p.StartSleep(n.cost.TransferTime(f.wire)) // DMA: link busy, CPU free
+			f.state = fwdSleep
+			fallthrough
+		case fwdSleep:
+			if p.AwaitSleep() {
+				return
+			}
+			m := f.m
+			f.m, f.state = nil, fwdIdle
+			f.half.CountTransfer(f.wire)
+			f.half.Release()
+			n.NodeOf(f.r.local).Mem.FreeBytes(f.wire)
+			// A link failure during the transfer, or an injected drop,
+			// loses the message on the wire.
+			if n.linkDown(f.r.local, f.nb) || (n.dropFn != nil && n.dropFn()) {
+				n.stats.Drops++
+				f.nbMem.FreeBytes(f.wire)
+				continue
+			}
+			m.HopsTaken++
+			n.stats.Hops++
+			n.routers[f.nb].enqueue(m)
 		}
-		wire := n.wireBytes(m)
-		// Store-and-forward: the next node must hold the whole message.
-		nbMem.Alloc(p, wire, mem.ClassBuffer)
-		half.Acquire(p)
-		if n.linkDown(r.local, nb) {
-			// Failed while we waited for the channel: give everything back
-			// and re-route.
-			half.Release()
-			nbMem.FreeBytes(wire)
-			r.enqueue(m)
-			continue
-		}
-		p.Sleep(n.cost.TransferTime(wire)) // DMA: link busy, CPU free
-		half.CountTransfer(wire)
-		half.Release()
-		n.NodeOf(r.local).Mem.FreeBytes(wire)
-		// A link failure during the transfer, or an injected drop, loses the
-		// message on the wire.
-		if n.linkDown(r.local, nb) || (n.dropFn != nil && n.dropFn()) {
-			n.stats.Drops++
-			nbMem.FreeBytes(wire)
-			continue
-		}
-		m.HopsTaken++
-		n.stats.Hops++
-		n.routers[nb].enqueue(m)
 	}
+}
+
+// reroute hands the message back to this node's routing and goes idle.
+func (f *forwarder) reroute() {
+	m := f.m
+	f.m, f.state = nil, fwdIdle
+	f.r.enqueue(m)
 }
 
 // sendWormhole implements the ablation switching mode: the message becomes a

@@ -43,10 +43,10 @@ func (n *Network) Quiet() bool {
 		return false
 	}
 	for _, r := range n.routers {
-		if len(r.deliveryQ.queue) != 0 {
+		if len(r.delivery.queue) != 0 {
 			return false
 		}
-		for _, q := range r.portQ {
+		for _, q := range r.ports {
 			if len(q.queue) != 0 {
 				return false
 			}

@@ -51,7 +51,10 @@ func (s CPUStats) Busy() sim.Time { return s.BusyHigh + s.BusyLow + s.BusySwitch
 type Task struct {
 	cpu  *CPU
 	name string
-	prio Priority
+	// label, when set, names the task instead of name, formatted only when
+	// the name is read.
+	label fmt.Stringer
+	prio  Priority
 
 	// group identifies the job the task belongs to; switching the CPU
 	// between low-priority tasks of different groups costs the configured
@@ -159,8 +162,19 @@ func (c *CPU) NewTask(name string, prio Priority) *Task {
 	return &Task{cpu: c, name: name, prio: prio, group: NoGroup}
 }
 
+// NewTaskNamed is NewTask with a lazily formatted name, which must stay
+// valid for the task's life.
+func (c *CPU) NewTaskNamed(name fmt.Stringer, prio Priority) *Task {
+	return &Task{cpu: c, label: name, prio: prio, group: NoGroup}
+}
+
 // Name returns the task name.
-func (t *Task) Name() string { return t.name }
+func (t *Task) Name() string {
+	if t.label != nil {
+		return t.label.String()
+	}
+	return t.name
+}
 
 // Suspended reports whether the task is currently suspended.
 func (t *Task) Suspended() bool { return t.suspended }
@@ -180,11 +194,18 @@ func (t *Task) BurstRemaining() sim.Time {
 // time until return can be much larger than d when the processor is shared.
 // A non-positive demand returns immediately.
 func (t *Task) Compute(p *sim.Proc, d sim.Time) {
+	t.StartBurst(p, d)
+	t.AwaitBurst(p)
+}
+
+// StartBurst submits Compute's burst of d for p without waiting for it;
+// AwaitBurst waits. A non-positive demand starts nothing.
+func (t *Task) StartBurst(p *sim.Proc, d sim.Time) {
 	if d <= 0 {
 		return
 	}
 	if t.burst != nil {
-		panic(fmt.Sprintf("machine: task %q issued overlapping bursts", t.name))
+		panic(fmt.Sprintf("machine: task %q issued overlapping bursts", t.Name()))
 	}
 	b := &t.own
 	*b = burst{task: t, owner: p, remaining: d, prio: t.prio}
@@ -192,10 +213,18 @@ func (t *Task) Compute(p *sim.Proc, d sim.Time) {
 	if !t.suspended {
 		t.cpu.submit(b)
 	}
-	// complete clears t.burst before it wakes the owner.
-	for t.burst == b {
-		p.ParkFor((*burstWhy)(t.cpu))
+}
+
+// AwaitBurst waits until the task's burst has completed (complete clears
+// t.burst before it wakes the owner). Like sim.Proc.Wait, it reports
+// whether a stepper parked and must return.
+func (t *Task) AwaitBurst(p *sim.Proc) bool {
+	for t.burst != nil {
+		if p.Wait((*burstWhy)(t.cpu)) {
+			return true
+		}
 	}
+	return false
 }
 
 // burstWhy is the lazily formatted park reason of a process waiting on a

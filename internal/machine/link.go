@@ -26,11 +26,13 @@ type HalfLink struct {
 	name     string
 	busy     bool
 	busyFrom sim.Time
-	waiters  []*linkWaiter
+	waiters  []*LinkWaiter
 	stats    LinkStats
 }
 
-type linkWaiter struct {
+// LinkWaiter is one queued acquire of a half-link. A stackless caller owns
+// its record across steps; Acquire allocates one only when it must queue.
+type LinkWaiter struct {
 	proc    *sim.Proc
 	since   sim.Time
 	granted bool
@@ -64,13 +66,10 @@ func (h *HalfLink) Busy() bool { return h.busy }
 // Acquire takes exclusive hold of the direction, blocking the calling
 // process FIFO until it is free.
 func (h *HalfLink) Acquire(p *sim.Proc) {
-	if !h.busy && len(h.waiters) == 0 {
-		h.busy = true
-		h.busyFrom = h.k.Now()
+	w := h.Request(p, nil)
+	if w == nil {
 		return
 	}
-	w := &linkWaiter{proc: p, since: h.k.Now()}
-	h.waiters = append(h.waiters, w)
 	// Unwind cleanly if the waiting process is aborted: drop the queued
 	// request, or release the hold when the grant raced the abort.
 	defer func() {
@@ -83,10 +82,42 @@ func (h *HalfLink) Acquire(p *sim.Proc) {
 			panic(r)
 		}
 	}()
+	h.Await(p, w)
+}
+
+// Request is Acquire's non-blocking half. It takes the direction at once
+// and returns nil when it is free and nobody queues, marking w (if any)
+// granted; otherwise it queues p FIFO on w (a fresh record when w is nil)
+// and returns it. Await finishes the acquire.
+func (h *HalfLink) Request(p *sim.Proc, w *LinkWaiter) *LinkWaiter {
+	now := h.k.Now()
+	if !h.busy && len(h.waiters) == 0 {
+		h.busy = true
+		h.busyFrom = now
+		if w != nil {
+			*w = LinkWaiter{granted: true, since: now}
+		}
+		return nil
+	}
+	if w == nil {
+		w = new(LinkWaiter)
+	}
+	*w = LinkWaiter{proc: p, since: now}
+	h.waiters = append(h.waiters, w)
+	return w
+}
+
+// Await waits until the request w is granted, then books its queueing time
+// (none for a request granted at once). Like sim.Proc.Wait, it reports
+// whether a stepper parked and must return.
+func (h *HalfLink) Await(p *sim.Proc, w *LinkWaiter) bool {
 	for !w.granted {
-		p.ParkFor((*acquireWhy)(h))
+		if p.Wait((*acquireWhy)(h)) {
+			return true
+		}
 	}
 	h.stats.WaitTime += h.k.Now() - w.since
+	return false
 }
 
 // acquireWhy is the lazily formatted park reason of a process queued for
@@ -96,7 +127,7 @@ type acquireWhy HalfLink
 func (h *acquireWhy) String() string { return "acquire " + h.name }
 
 // removeWaiter deletes a pending acquire from the queue (abort path).
-func (h *HalfLink) removeWaiter(w *linkWaiter) {
+func (h *HalfLink) removeWaiter(w *LinkWaiter) {
 	for i, x := range h.waiters {
 		if x == w {
 			h.waiters = append(h.waiters[:i], h.waiters[i+1:]...)

@@ -14,6 +14,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -57,10 +58,12 @@ type Stats struct {
 	BytesData, BytesBuffer int64
 }
 
-// waiter is a parked allocation request. Its grant happens inside the MMU
+// Waiter is a queued allocation request. Its grant happens inside the MMU
 // (admit) so FIFO order cannot be subverted while the wake event is in
-// flight; the waiting process only records its blocked time on resume.
-type waiter struct {
+// flight; the waiting process only records its blocked time on resume. A
+// stackless caller owns its record across steps; Alloc allocates one only
+// when it must queue.
+type Waiter struct {
 	proc    *sim.Proc
 	node    int
 	bytes   int64
@@ -78,7 +81,7 @@ type MMU struct {
 	node     int
 	capacity int64
 	used     int64
-	waiters  []*waiter
+	waiters  []*Waiter
 	stats    Stats
 }
 
@@ -161,21 +164,10 @@ func (m *MMU) TryAlloc(bytes int64, class Class) bool {
 // order until enough is free. An allocation larger than total capacity can
 // never succeed and panics (a configuration error, not a runtime condition).
 func (m *MMU) Alloc(p *sim.Proc, bytes int64, class Class) {
-	if bytes < 0 {
-		panic("mem: negative allocation")
-	}
-	if bytes == 0 {
+	w := m.Request(p, bytes, class, nil)
+	if w == nil {
 		return
 	}
-	if bytes > m.capacity {
-		panic(fmt.Sprintf("mem: node %d request %d exceeds capacity %d", m.node, bytes, m.capacity))
-	}
-	if m.TryAlloc(bytes, class) {
-		return
-	}
-	w := &waiter{proc: p, node: m.node, bytes: bytes, class: class, since: m.k.Now()}
-	m.waiters = append(m.waiters, w)
-	m.stats.BlockedAllocs++
 	// If the process is aborted while blocked here, unwind cleanly: drop the
 	// queued request, or — when the grant raced the abort — return the bytes.
 	defer func() {
@@ -188,19 +180,52 @@ func (m *MMU) Alloc(p *sim.Proc, bytes int64, class Class) {
 			panic(r)
 		}
 	}()
+	m.Await(p, w)
+}
+
+// Request is Alloc's non-blocking half. It grants the bytes at once and
+// returns nil when the FIFO allows, marking w (if any) granted; otherwise
+// it queues the request on w (a fresh record when w is nil) and returns it.
+// Await finishes the allocation.
+func (m *MMU) Request(p *sim.Proc, bytes int64, class Class, w *Waiter) *Waiter {
+	if bytes > m.capacity {
+		panic(fmt.Sprintf("mem: node %d request %d exceeds capacity %d", m.node, bytes, m.capacity))
+	}
+	if m.TryAlloc(bytes, class) {
+		if w != nil {
+			*w = Waiter{granted: true, since: m.k.Now()}
+		}
+		return nil
+	}
+	if w == nil {
+		w = new(Waiter)
+	}
+	*w = Waiter{proc: p, node: m.node, bytes: bytes, class: class, since: m.k.Now()}
+	m.waiters = append(m.waiters, w)
+	m.stats.BlockedAllocs++
+	return w
+}
+
+// Await waits until the request w is granted, then books its blocked time
+// (none for a request granted at once). Like sim.Proc.Wait, it reports
+// whether a stepper parked and must return.
+func (m *MMU) Await(p *sim.Proc, w *Waiter) bool {
 	for !w.granted {
-		p.ParkFor((*allocWhy)(w))
+		if p.Wait((*allocWhy)(w)) {
+			return true
+		}
 	}
 	m.stats.BlockedTime += m.k.Now() - w.since
+	return false
 }
 
 // allocWhy is the lazily formatted park reason of a blocked allocation.
-type allocWhy waiter
+type allocWhy Waiter
 
 func (w *allocWhy) String() string { return fmt.Sprintf("mem alloc %dB on node %d", w.bytes, w.node) }
 
 // removeWaiter deletes a pending request from the queue (abort path).
-func (m *MMU) removeWaiter(w *waiter) {
+func (m *MMU) removeWaiter(w *Waiter) {
 	for i, x := range m.waiters {
 		if x == w {
 			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
@@ -250,7 +275,7 @@ func (m *MMU) admit() {
 		if m.used+w.bytes > m.capacity {
 			return
 		}
-		m.waiters = m.waiters[1:]
+		m.waiters = slices.Delete(m.waiters, 0, 1) // in place: keeps the capacity
 		m.grant(w.bytes, w.class)
 		w.granted = true
 		w.proc.Wake()

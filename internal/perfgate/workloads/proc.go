@@ -6,6 +6,8 @@ import (
 	"repro/internal/arrival"
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -148,6 +150,83 @@ func OpenPaper(b B) {
 		}
 		if res.Open == nil || res.Open.Jobs != jobs {
 			b.Fatalf("open summary missing or short: %+v", res.Open)
+		}
+	}
+	if s := elapsed.Seconds(); s > 0 {
+		b.ReportMetric(jobs*float64(b.N())/s, "jobs_per_sec")
+	}
+}
+
+// RouterHop is one store-and-forward hop between two adjacent nodes: the
+// port daemon's header burst, buffer reservation at the next node, link
+// acquire and DMA sleep, then the delivery daemon's burst and the hand-off
+// to the mailbox. Send and receive overheads are zeroed, and the two ranks
+// send and drain in bursts of 16 a simulated second apart, so their own
+// hand-offs are amortized and every op is the router layer's work.
+func RouterHop(b B) {
+	b.ReportAllocs()
+	const burst = 16
+	k := sim.NewKernel(1)
+	cost := machine.DefaultCostModel()
+	cost.SendOverhead, cost.RecvOverhead = 0, 0
+	mach := machine.NewMachine(k, 2, 4<<20, cost)
+	net := comm.MustNewNetwork(mach, []int{0, 1}, topology.MustBuild(topology.Linear, 2), comm.StoreForward)
+	src, dst := net.NewMailbox(0), net.NewMailbox(1)
+	n := b.N()
+	received := 0
+	k.Spawn("sender", func(p *sim.Proc) {
+		task := mach.Node(0).CPU.NewTask("sender", machine.PriLow)
+		var msgs [burst]comm.Message
+		for sent := 0; sent < n; p.Sleep(sim.Second) {
+			for i := 0; i < burst && sent < n; i, sent = i+1, sent+1 {
+				msgs[i] = comm.Message{Src: src.Addr(), Dst: dst.Addr(), Bytes: 64, Tag: "hop"}
+				net.Send(p, task, &msgs[i])
+			}
+		}
+	})
+	k.Spawn("receiver", func(p *sim.Proc) {
+		task := mach.Node(1).CPU.NewTask("receiver", machine.PriLow)
+		for p.Sleep(sim.Second / 2); received < n; p.Sleep(sim.Second) {
+			for m := net.TryRecv(p, task, dst); m != nil; m = net.TryRecv(p, task, dst) {
+				net.Release(m)
+				received++
+			}
+		}
+	})
+	b.ResetTimer()
+	k.Run()
+	if received != n || net.Stats().Hops != int64(n) {
+		b.Fatalf("received %d messages over %d hops, want %d", received, net.Stats().Hops, n)
+	}
+	k.Shutdown()
+}
+
+// Campaign is the paper's own evaluation, Figures 3-6 at one engine
+// worker (`ippsbench -run f3,f4,f5,f6 -j 1`): 4 figures × 16 partition
+// cells × (static best, static worst, RR-job) = 192 closed 16-job
+// batches, 3072 simulated jobs per iteration, reported per wall-clock
+// second. It is the only case with payload traffic over up to 8 hops and
+// MMU waits.
+func Campaign(b B) {
+	const jobs = 3072
+	figures := []func(core.Config, ...engine.Options) (*experiments.Figure, error){
+		experiments.Figure3, experiments.Figure4, experiments.Figure5, experiments.Figure6,
+	}
+	var elapsed time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N(); i++ {
+		start := time.Now()
+		cells := 0
+		for _, run := range figures {
+			fig, err := run(core.Config{}, engine.Options{Workers: 1})
+			if err != nil {
+				b.Fatalf("campaign: %v", err)
+			}
+			cells += len(fig.Cells)
+		}
+		elapsed += time.Since(start)
+		if cells != 64 {
+			b.Fatalf("campaign ran %d cells, want 64", cells)
 		}
 	}
 	if s := elapsed.Seconds(); s > 0 {

@@ -75,6 +75,8 @@ var registry = map[string]Func{
 	"cpu-burst":          CPUBurst,
 	"mailbox-roundtrip":  MailboxRoundtrip,
 	"open-paper":         OpenPaper,
+	"router-hop":         RouterHop,
+	"campaign":           Campaign,
 }
 
 // Lookup resolves a workload by its case-file name.

@@ -243,6 +243,11 @@ type jobState struct {
 	ckpt []sim.Time
 }
 
+// loaderName is the lazily formatted name of a job's image loader.
+type loaderName jobState
+
+func (n *loaderName) String() string { return fmt.Sprintf("load job%d", n.job.ID) }
+
 // New validates the configuration, resolves the policy components and
 // builds the partition state.
 func New(cfg Config) (*System, error) {
@@ -552,7 +557,7 @@ func (s *System) launch(part *Partition, js *jobState) {
 		trace.Emit(s.cfg.Tracer, s.k.Now(), "job", js.job.String(),
 			fmt.Sprintf("dispatched to partition %d", part.idx))
 	}
-	s.k.Spawn(fmt.Sprintf("load job%d", js.job.ID), func(p *sim.Proc) {
+	s.k.SpawnNamed((*loaderName)(js), func(p *sim.Proc) {
 		host := s.cfg.Machine.Host
 		host.Acquire(p)
 		bytes := js.job.App.LoadBytes()
@@ -623,7 +628,7 @@ func (s *System) startProcs(part *Partition, js *jobState) {
 	for r := 0; r < t; r++ {
 		binding := env.Ranks[r]
 		r := r
-		js.procs[r] = s.k.Spawn(fmt.Sprintf("job%d.r%d", js.job.ID, r), func(p *sim.Proc) {
+		js.procs[r] = s.k.SpawnNamed(&env.Ranks[r].Name, func(p *sim.Proc) {
 			var rt *workload.Runtime
 			defer func() {
 				// A kill aborts the process; reclaim whatever it still held

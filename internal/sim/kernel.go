@@ -80,8 +80,7 @@ func (k *Kernel) NextEventAt() (t Time, ok bool) {
 			return 0, false
 		}
 		if ev.cancelled {
-			k.popNext()
-			k.recycle(ev)
+			k.recycle(k.popNext(MaxTime))
 			continue
 		}
 		return ev.at, true
@@ -151,14 +150,12 @@ func (k *Kernel) schedule(t Time, fn func()) *event {
 	}
 	k.seq++
 	ev.at = t
-	ev.seq = k.seq
 	ev.fn = fn
 	ev.cancelled = false
 	if t == k.now {
-		ev.index = indexNowQ
 		k.nowQ = append(k.nowQ, ev)
 	} else {
-		k.queue.push(ev)
+		k.queue.push(entry{at: t, seq: k.seq, ev: ev})
 	}
 	k.live++
 	return ev
@@ -172,40 +169,48 @@ func (k *Kernel) recycle(ev *event) {
 	k.free = append(k.free, ev)
 }
 
-// peekNext returns the next event in (at, seq) order without dequeuing it.
+// nowQFirst reports whether the FIFO head precedes the heap's minimum.
 // Heap events at the FIFO's timestamp carry older sequence numbers than any
 // FIFO entry (they were pushed before the clock reached now), so the heap
 // wins ties.
-func (k *Kernel) peekNext() *event {
-	h := k.queue.peek()
-	if k.nowHead < len(k.nowQ) {
-		nq := k.nowQ[k.nowHead]
-		if h == nil || h.at > nq.at {
-			return nq
-		}
-	}
-	return h
+func (k *Kernel) nowQFirst() bool {
+	return k.nowHead < len(k.nowQ) &&
+		(len(k.queue.items) == 0 || k.queue.items[0].at > k.nowQ[k.nowHead].at)
 }
 
-// popNext dequeues the event peekNext would return; call only when peekNext
-// reported one.
-func (k *Kernel) popNext() *event {
-	h := k.queue.peek()
-	if k.nowHead < len(k.nowQ) {
-		nq := k.nowQ[k.nowHead]
-		if h == nil || h.at > nq.at {
-			k.nowHead++
-			if k.nowHead == len(k.nowQ) {
-				if cap(k.nowQ) > nowQShedCap {
-					k.nowQ = nil
-				} else {
-					k.nowQ = k.nowQ[:0]
-				}
-				k.nowHead = 0
-			}
-			nq.index = indexFree
-			return nq
+// peekNext returns the next event in (at, seq) order without dequeuing it,
+// or nil when nothing is queued.
+func (k *Kernel) peekNext() *event {
+	if k.nowQFirst() {
+		return k.nowQ[k.nowHead]
+	}
+	if len(k.queue.items) == 0 {
+		return nil
+	}
+	return k.queue.items[0].ev
+}
+
+// popNext dequeues the next event in (at, seq) order if it activates at or
+// before limit, and returns nil otherwise.
+func (k *Kernel) popNext(limit Time) *event {
+	if k.nowQFirst() {
+		ev := k.nowQ[k.nowHead]
+		if ev.at > limit {
+			return nil
 		}
+		k.nowHead++
+		if k.nowHead == len(k.nowQ) {
+			if cap(k.nowQ) > nowQShedCap {
+				k.nowQ = nil
+			} else {
+				k.nowQ = k.nowQ[:0]
+			}
+			k.nowHead = 0
+		}
+		return ev
+	}
+	if len(k.queue.items) == 0 || k.queue.items[0].at > limit {
+		return nil
 	}
 	return k.queue.pop()
 }
@@ -229,12 +234,18 @@ func (k *Kernel) RunUntil(limit Time) {
 		k.running = false
 		k.releaseIdle()
 	}()
+	for k.fire(limit) {
+	}
+}
+
+// fire runs the next live event activating at or before limit, collecting
+// cancelled ones on the way, and reports whether it ran one.
+func (k *Kernel) fire(limit Time) bool {
 	for {
-		ev := k.peekNext()
-		if ev == nil || ev.at > limit {
-			return
+		ev := k.popNext(limit)
+		if ev == nil {
+			return false
 		}
-		k.popNext()
 		if ev.cancelled {
 			k.recycle(ev)
 			continue
@@ -248,6 +259,7 @@ func (k *Kernel) RunUntil(limit Time) {
 		// own Timer handles report not-pending, as they should.
 		k.recycle(ev)
 		fn()
+		return true
 	}
 }
 
@@ -255,26 +267,7 @@ func (k *Kernel) RunUntil(limit Time) {
 func (k *Kernel) EventsRun() int64 { return k.eventsRun }
 
 // Step executes exactly one pending event and reports whether one was run.
-func (k *Kernel) Step() bool {
-	for {
-		ev := k.peekNext()
-		if ev == nil {
-			return false
-		}
-		k.popNext()
-		if ev.cancelled {
-			k.recycle(ev)
-			continue
-		}
-		k.live--
-		k.now = ev.at
-		k.eventsRun++
-		fn := ev.fn
-		k.recycle(ev)
-		fn()
-		return true
-	}
-}
+func (k *Kernel) Step() bool { return k.fire(MaxTime) }
 
 // PendingEvents reports the number of live events in the queue. The count is
 // maintained incrementally on schedule/fire/Stop, so this is O(1).
@@ -282,8 +275,8 @@ func (k *Kernel) PendingEvents() int { return k.live }
 
 // Shutdown unwinds every started process that has not finished, running
 // its deferred cleanup, so no goroutines leak when the simulation is
-// discarded. It must be called from outside Run. After Shutdown the kernel
-// must not be reused.
+// discarded; steppers hold no stack and are simply dropped. It must be
+// called from outside Run. After Shutdown the kernel must not be reused.
 func (k *Kernel) Shutdown() {
 	if k.stopped {
 		return
@@ -296,7 +289,8 @@ func (k *Kernel) Shutdown() {
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 	for _, p := range live {
 		if p.co == nil {
-			// Never started: there is no body to unwind.
+			// A stepper, or a process that never started: there is
+			// no body to unwind.
 			p.finished = true
 			delete(k.procs, p)
 			continue
@@ -319,7 +313,7 @@ func (k *Kernel) ParkedProcs() []string {
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	names := make([]string, len(out))
 	for i, p := range out {
-		names[i] = fmt.Sprintf("%s (parked: %s)", p.name, p.reason())
+		names[i] = fmt.Sprintf("%s (parked: %s)", p.Name(), p.reason())
 	}
 	return names
 }

@@ -212,20 +212,34 @@ func TestHandoffResumesInWakeOrder(t *testing.T) {
 	}
 }
 
-// TestSpawnParkedStartsOnWake: a process spawned parked reports its reason
-// from its start event on, runs its body only once woken, runs it at the
-// start event when a Wake came first, and leaves nothing to unwind when it
-// is never woken.
-func TestSpawnParkedStartsOnWake(t *testing.T) {
+// name is a constant lazily formatted name or park reason.
+type name string
+
+func (n name) String() string { return string(n) }
+
+// TestStepperStartsOnWake: a stepper whose step opens with a wait reports
+// its reason from its start event on, runs on only once woken, goes on at
+// the start event when a Wake came first, and leaves nothing to unwind when
+// it is never woken.
+func TestStepperStartsOnWake(t *testing.T) {
 	k := NewKernel(1)
 	var ran []string
-	body := func(p *Proc) {
-		ran = append(ran, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
-		p.Park("idle")
+	spawn := func(n string) *Proc {
+		opened := false // whether the opening wait happened
+		return k.SpawnStepper(name(n), func(p *Proc) {
+			if !opened {
+				opened = true
+				if p.Wait(name("idle")) {
+					return
+				}
+			}
+			ran = append(ran, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
+			p.Wait(name("idle"))
+		})
 	}
-	late := k.SpawnParked("late", "idle", body)
-	early := k.SpawnParked("early", "idle", body)
-	k.SpawnParked("never", "idle", body)
+	late := spawn("late")
+	early := spawn("early")
+	spawn("never")
 	early.Wake() // before its start event: a permit
 	k.At(5, late.Wake)
 	k.RunUntil(0)
@@ -235,10 +249,26 @@ func TestSpawnParkedStartsOnWake(t *testing.T) {
 	}
 	k.Run()
 	if want := []string{"early@0µs", "late@5µs"}; !reflect.DeepEqual(ran, want) {
-		t.Errorf("bodies ran %q, want %q", ran, want)
+		t.Errorf("steps ran %q, want %q", ran, want)
 	}
 	k.Shutdown()
 	if k.LiveProcs() != 0 {
 		t.Errorf("LiveProcs after Shutdown = %d, want 0", k.LiveProcs())
 	}
+}
+
+// TestStepperParkPanics: a stepper has no stack to park, so Park on one
+// panics with a message naming the process, out of the kernel loop.
+func TestStepperParkPanics(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Shutdown()
+	k.SpawnStepper(name("daemon"), func(p *Proc) { p.Park("idle") })
+	defer func() {
+		want := `sim: Park on stepper "daemon": a stepper waits with Wait and returns`
+		if r := recover(); r != want {
+			t.Errorf("panic %v, want %q", r, want)
+		}
+	}()
+	k.Run()
+	t.Error("Run returned")
 }

@@ -73,25 +73,29 @@ func (k *Kernel) releaseIdle() {
 }
 
 // Proc is a simulated process: a Go function running on a coroutine under
-// the kernel's strict hand-off discipline. A Proc may park itself (Park,
-// Sleep) and be woken by kernel-context code (Wake). Blocking primitives
-// built on Park/Wake — CPU bursts, message receives, memory allocation —
-// live in higher-level packages.
+// the kernel's strict hand-off discipline, or a stackless stepper (see
+// SpawnStepper). A Proc may park itself (Park, Wait, Sleep) and be woken by
+// kernel-context code (Wake). Blocking primitives built on Wait/Wake — CPU
+// bursts, message receives, memory allocation — live in higher-level
+// packages.
 type Proc struct {
 	k    *Kernel
 	id   int
 	name string
-	body func(*Proc)
+	// label, when set, names the process instead of name and is formatted
+	// only when the name is read.
+	label fmt.Stringer
+	body  func(*Proc)
+	// stepper is a stackless process's step function; nil for a body on a
+	// coroutine.
+	stepper func(*Proc)
 
 	// co runs the body; nil until the body first runs.
 	co *coro
-	// startParked is the SpawnParked reason, cleared at the start event.
-	startParked string
-	// resume is the start and wake event's callback, bound once at Spawn
+	// resume is the start and wake event's callback, bound once at spawn
 	// so Wake schedules without allocating.
 	resume func()
-	// sleep is the process's reusable Sleep record; nil while a sleep's
-	// timer still holds it.
+	// sleep is the process's Sleep record, reused once its timer fired.
 	sleep *sleeper
 
 	parked bool
@@ -109,46 +113,52 @@ type Proc struct {
 // discipline: it may call any kernel API, park itself, and wake other procs.
 // Spawn may be called from kernel context or before Run.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
+	return k.spawn(name, nil, body, nil)
+}
+
+// SpawnNamed is Spawn with a lazily formatted name: name.String() runs
+// only when the name is read (ParkedProcs, panics, Name), so a hot spawn
+// path builds no string. name must stay valid for the process's life.
+func (k *Kernel) SpawnNamed(name fmt.Stringer, body func(p *Proc)) *Proc {
+	return k.spawn("", name, body, nil)
+}
+
+// SpawnStepper creates a stackless process. Its start event and every wake
+// event call step in kernel context, with no coroutine switch. step runs
+// the process from where its last wait left off and must return instead of
+// blocking: it waits with Wait and AwaitSleep, which report true when the
+// process parked and step must return, and false when a permit let it go
+// on (re-check the wait condition and wait again). A stepper keeps its
+// position in its own fields. It has an id, a name, park reasons and
+// permits like any process, so ParkedProcs and Diagnose report it the same
+// way; Park panics on it, and Shutdown drops it, as it has no stack to
+// unwind. A panic in step propagates out of the kernel loop as is.
+func (k *Kernel) SpawnStepper(name fmt.Stringer, step func(p *Proc)) *Proc {
+	return k.spawn("", name, nil, step)
+}
+
+func (k *Kernel) spawn(name string, label fmt.Stringer, body, stepper func(*Proc)) *Proc {
 	if k.stopped {
 		panic("sim: Spawn after Shutdown")
 	}
 	k.nextPID++
-	p := &Proc{k: k, id: k.nextPID, name: name, body: body}
+	p := &Proc{k: k, id: k.nextPID, name: name, label: label, body: body, stepper: stepper}
 	p.resume = p.step
 	k.procs[p] = struct{}{}
 	k.AfterFunc(0, p.resume)
 	return p
 }
 
-// SpawnParked is Spawn for a daemon whose body opens with a wait: at its
-// start event the process parks with reason, exactly as if its body began
-// with Park(reason), and the body first runs when the process is woken. A
-// Wake or Abort that lands before the start event lets the body run at
-// once, as a permit would. The body must do nothing observable before its
-// first wait, since it starts from the top instead of resuming there.
-// Until the body runs the process holds no coroutine, so a daemon that is
-// never woken costs none.
-func (k *Kernel) SpawnParked(name, reason string, body func(p *Proc)) *Proc {
-	p := k.Spawn(name, body)
-	p.startParked = reason
-	return p
-}
-
-// step is the start and wake event: it runs the body up to its next park,
-// its return, or its panic. A process takes its coroutine when its body
-// first runs, so one that never runs holds none.
+// step is the start and wake event. A stepper runs its step function; a
+// coroutine process runs its body up to its next park, its return, or its
+// panic, taking its coroutine when the body first runs.
 func (p *Proc) step() {
 	if p.finished {
 		return
 	}
-	if reason := p.startParked; reason != "" {
-		p.startParked = ""
-		if !p.permit && !p.aborted {
-			p.parked = true
-			p.parkReason = reason
-			return
-		}
-		p.permit = false
+	if p.stepper != nil {
+		p.stepper(p)
+		return
 	}
 	if p.co == nil {
 		p.co = p.k.coroutine()
@@ -171,7 +181,7 @@ func (p *Proc) run() (returned bool) {
 		delete(p.k.procs, p)
 		if r != nil {
 			if _, isKill := r.(killSentinel); !isKill {
-				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r))
 			}
 		}
 	}()
@@ -179,8 +189,13 @@ func (p *Proc) run() (returned bool) {
 	return true
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name given at spawn.
+func (p *Proc) Name() string {
+	if p.label != nil {
+		return p.label.String()
+	}
+	return p.name
+}
 
 // ID returns the kernel-unique process id (assigned in spawn order).
 func (p *Proc) ID() int { return p.id }
@@ -196,31 +211,45 @@ func (p *Proc) Now() Time { return p.k.now }
 // "permit"), Park consumes it and returns immediately. The reason string is
 // reported by Kernel.ParkedProcs for stall diagnosis.
 //
-// Park must only be called by the process itself.
-func (p *Proc) Park(reason string) { p.park(reason, nil) }
+// Park must only be called by the process itself, and never by a stepper.
+func (p *Proc) Park(reason string) {
+	if p.stepper != nil {
+		panic(fmt.Sprintf("sim: Park on stepper %q: a stepper waits with Wait and returns", p.Name()))
+	}
+	p.wait(reason, nil)
+}
 
-// ParkFor is Park with a lazily formatted reason: why.String() runs only
-// when Kernel.ParkedProcs reports the process, so a hot wait loop can name
-// what it waits for without building a string per park. why must stay
-// valid until the process is woken.
-func (p *Proc) ParkFor(why fmt.Stringer) { p.park("", why) }
+// Wait is the wait primitive both kinds of process share, with a lazily
+// formatted reason: why.String() runs only when Kernel.ParkedProcs reports
+// the process, so a hot wait loop names what it waits for without building
+// a string. why must stay valid until the process is woken. A permit is
+// consumed and Wait returns false, as Park returns at once. Otherwise a
+// coroutine process blocks until woken and Wait returns false; a stepper
+// is marked parked and Wait returns true, and its step must return. Either
+// way the caller re-checks its condition after a false return, so one
+// loop, `for !ready { if p.Wait(why) { return } }`, serves both.
+func (p *Proc) Wait(why fmt.Stringer) bool { return p.wait("", why) }
 
-func (p *Proc) park(reason string, why fmt.Stringer) {
+func (p *Proc) wait(reason string, why fmt.Stringer) bool {
 	if p.aborted {
 		panic(Aborted{})
 	}
 	if p.permit {
 		p.permit = false
-		return
+		return false
 	}
 	p.parked = true
 	p.parkReason, p.parkWhy = reason, why
+	if p.stepper != nil {
+		return true
+	}
 	if !p.co.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
 	if p.aborted {
 		panic(Aborted{})
 	}
+	return false
 }
 
 // reason renders the current park reason.
@@ -292,21 +321,35 @@ func (s *sleeper) String() string { return "sleep " + s.d.String() }
 // (Wakes aimed at a different wait of the same process): it re-parks until
 // its own timer has fired.
 func (p *Proc) Sleep(d Time) {
+	p.StartSleep(d)
+	p.AwaitSleep()
+}
+
+// StartSleep arms the timer of a sleep of d without waiting for it;
+// AwaitSleep waits. Sleep is the two in a row.
+func (p *Proc) StartSleep(d Time) {
 	s := p.sleep
-	if s == nil {
+	if s == nil || !s.done {
+		// The first sleep, or one that unwound early (abort, kill): its
+		// timer still owns that record, so start a fresh one.
 		s = &sleeper{p: p}
 		s.fire = s.wake
+		p.sleep = s
 	}
-	// The timer owns the record until it fires. A sleep that unwinds
-	// early (abort, kill) leaves it to its timer, and the next Sleep
-	// starts a fresh one.
-	p.sleep = nil
 	s.d, s.done = d, false
 	p.k.AfterFunc(d, s.fire)
+}
+
+// AwaitSleep waits until the timer armed by StartSleep has fired. Like
+// Wait, it reports whether a stepper parked and must return.
+func (p *Proc) AwaitSleep() bool {
+	s := p.sleep
 	for !s.done {
-		p.ParkFor(s)
+		if p.Wait(s) {
+			return true
+		}
 	}
-	p.sleep = s
+	return false
 }
 
 // Finished reports whether the process body has returned.

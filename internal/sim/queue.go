@@ -11,21 +11,10 @@ package sim
 type event struct {
 	k         *Kernel
 	at        Time
-	seq       uint64
 	gen       uint64
 	fn        func()
 	cancelled bool
-	index     int // heap index; indexFree when not queued, indexNowQ in the FIFO
 }
-
-const (
-	// indexFree marks an event that is not queued anywhere (fired, being
-	// recycled, or sitting on the free list).
-	indexFree = -1
-	// indexNowQ marks an event queued on the same-timestamp FIFO rather
-	// than the heap.
-	indexNowQ = -2
-)
 
 // Timer is a handle to a scheduled event that can be cancelled or queried.
 // It is a plain value (scheduling allocates nothing for it); the zero Timer
@@ -36,7 +25,8 @@ type Timer struct {
 }
 
 // valid reports whether the handle still refers to the event it was issued
-// for (the event has not fired and been recycled for another caller).
+// for. The kernel recycles an event the moment it leaves the queue, so a
+// valid handle's event is always queued.
 func (t Timer) valid() bool { return t.ev != nil && t.ev.gen == t.gen }
 
 // At reports the simulated time the timer is set to fire, or 0 if the timer
@@ -54,7 +44,7 @@ func (t Timer) At() Time {
 // immediately, so anything the closure captures becomes collectable before
 // the dead event surfaces in the queue.
 func (t Timer) Stop() bool {
-	if !t.valid() || t.ev.cancelled || t.ev.index == indexFree {
+	if !t.Pending() {
 		return false
 	}
 	t.ev.cancelled = true
@@ -65,90 +55,75 @@ func (t Timer) Stop() bool {
 
 // Pending reports whether the timer is still waiting to fire.
 func (t Timer) Pending() bool {
-	return t.valid() && !t.ev.cancelled && t.ev.index != indexFree
+	return t.valid() && !t.ev.cancelled
 }
 
-// eventQueue is a 4-ary min-heap ordered by (at, seq). The wider node cuts
-// the tree depth in half versus a binary heap, which matters because pops
-// (sift-down over the whole depth) dominate the kernel's comparison count.
+// entry is one heap slot: the event's (at, seq) key inline, so sifting
+// compares keys without loading the event. seq is globally unique, which
+// makes (at, seq) a total order and the pop order independent of the heap's
+// shape.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
+
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a 4-ary min-heap of entries ordered by (at, seq). The wider
+// node halves the depth of a binary heap, and sifting moves a hole instead
+// of swapping, so each level costs one copy.
 type eventQueue struct {
-	items []*event
+	items []entry
 }
 
-func (q *eventQueue) Len() int { return len(q.items) }
-
-func (q *eventQueue) less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *eventQueue) swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].index = i
-	q.items[j].index = j
-}
-
-func (q *eventQueue) push(ev *event) {
-	ev.index = len(q.items)
-	q.items = append(q.items, ev)
-	q.up(ev.index)
-}
-
-func (q *eventQueue) pop() *event {
-	n := len(q.items)
-	q.swap(0, n-1)
-	ev := q.items[n-1]
-	q.items[n-1] = nil
-	q.items = q.items[:n-1]
-	if len(q.items) > 0 {
-		q.down(0)
-	}
-	ev.index = indexFree
-	return ev
-}
-
-func (q *eventQueue) peek() *event {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
-}
-
-func (q *eventQueue) up(i int) {
+func (q *eventQueue) push(e entry) {
+	q.items = append(q.items, e)
+	items := q.items
+	i := len(items) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !q.less(i, parent) {
+		if !e.before(&items[parent]) {
 			break
 		}
-		q.swap(i, parent)
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = e
 }
 
-func (q *eventQueue) down(i int) {
-	n := len(q.items)
+// pop removes and returns the minimum; call only on a non-empty queue.
+func (q *eventQueue) pop() *event {
+	items := q.items
+	top := items[0].ev
+	n := len(items) - 1
+	last := items[n]
+	items[n] = entry{}
+	items = items[:n]
+	q.items = items
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		smallest := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.less(c, smallest) {
-				smallest = c
+		end := min(first+4, n)
+		least := first
+		for c := first + 1; c < end; c++ {
+			if items[c].before(&items[least]) {
+				least = c
 			}
 		}
-		if !q.less(smallest, i) {
+		if !items[least].before(&last) {
 			break
 		}
-		q.swap(i, smallest)
-		i = smallest
+		items[i] = items[least]
+		i = least
 	}
+	if n > 0 {
+		items[i] = last
+	}
+	return top
 }

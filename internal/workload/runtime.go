@@ -15,7 +15,15 @@ type RankBinding struct {
 	Node int // partition-local node index
 	Box  *comm.Mailbox
 	Task *machine.Task
+	// Name names the rank's process and CPU task.
+	Name RankName
 }
+
+// RankName is the "job%d.r%d" name of one of a job's processes, formatted
+// only when it is read.
+type RankName struct{ Job, Rank int }
+
+func (n *RankName) String() string { return fmt.Sprintf("job%d.r%d", n.Job, n.Rank) }
 
 // Env is everything a running job's processes share: the partition network
 // and the per-rank bindings. The scheduler constructs it when a job is
@@ -31,11 +39,9 @@ type Env struct {
 func NewEnv(net *comm.Network, jobID int, nodeOf []int) *Env {
 	env := &Env{Net: net, JobID: jobID, Ranks: make([]RankBinding, len(nodeOf))}
 	for r, node := range nodeOf {
-		env.Ranks[r] = RankBinding{
-			Node: node,
-			Box:  net.NewMailbox(node),
-			Task: net.NodeOf(node).CPU.NewTask(fmt.Sprintf("job%d.r%d", jobID, r), machine.PriLow),
-		}
+		b := &env.Ranks[r]
+		*b = RankBinding{Node: node, Box: net.NewMailbox(node), Name: RankName{Job: jobID, Rank: r}}
+		b.Task = net.NodeOf(node).CPU.NewTaskNamed(&b.Name, machine.PriLow)
 	}
 	return env
 }

@@ -55,9 +55,13 @@ go test -race -run 'Render|Exposition' -count=1 ./internal/experiments ./interna
 # (TestProcPanic*), aborts unwind with Aborted and scrub link, MMU and
 # mailbox waiters (TestAbort*), and Shutdown unwinds every parked process
 # with its deferred cleanup and no leaked goroutine (TestShutdown*).
+# Router daemons are stackless steppers that take no coroutine
+# (TestStepper*), their whole store-and-forward pipeline reproduces pinned
+# event counts, totals and stall reports (TestRouterPipelinePins), and the
+# event heap matches a sorted reference (TestEventQueueOracle).
 # Redundant with the full race run above, but kept explicit so a refactor
 # that renames or skips the pins fails loudly here.
-go test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose' -count=1 ./internal/sim ./internal/machine ./internal/comm ./internal/mem ./internal/sched
+go test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose|Stepper|RouterPipeline|EventQueue' -count=1 ./internal/sim ./internal/machine ./internal/comm ./internal/mem ./internal/sched ./internal/core
 
 # Chaos gate: crash safety at the process level, wall clock bounded by
 # -timeout. Real coordinator and worker processes are SIGKILLed and
