@@ -57,9 +57,10 @@ policy-gate:
 # Process-layer contract under the race detector: pinned park reasons and
 # deadlock diagnosis, body panics, aborts scrubbing waiters, Shutdown
 # unwinding parked processes, stepper router daemons and their pinned
-# pipeline, and the event-heap oracle. CI runs this.
+# pipeline, the event-heap oracle, the re-armable timers and the FIFO
+# ring. CI runs this.
 proc-gate:
-	$(GO) test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose|Stepper|RouterPipeline|EventQueue' -count=1 ./internal/sim ./internal/machine ./internal/comm ./internal/mem ./internal/sched ./internal/core
+	$(GO) test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose|Stepper|RouterPipeline|EventQueue|Timer|Ring' -count=1 ./internal/sim ./internal/fifo ./internal/machine ./internal/comm ./internal/mem ./internal/sched ./internal/core
 
 # Serving invariants under the race detector (cache hits byte-identical,
 # backpressure sheds, SIGTERM drains, metrics agree). CI runs this.

@@ -230,12 +230,12 @@ func BenchmarkKernelEventThroughput(b *testing.B) { workloads.KernelEventThrough
 
 // BenchmarkKernelEventChurn drives 64 interleaved self-rescheduling event
 // chains — the schedule/fire pattern that dominates simulation runs — and
-// reports allocs/op, the event pool's headline number.
+// reports allocs/op, the handle-free heap's headline number.
 func BenchmarkKernelEventChurn(b *testing.B) { workloads.KernelEventChurn(workloads.TB(b)) }
 
-// BenchmarkKernelTimerCancelStorm schedules batches of timers and cancels
-// three quarters of them before they fire — the slice-expiry/retry-timer
-// pattern where most armed timers never run.
+// BenchmarkKernelTimerCancelStorm arms batches of re-armable timers and
+// stops three quarters of them before they fire — the slice-expiry pattern
+// where most armed timers never run.
 func BenchmarkKernelTimerCancelStorm(b *testing.B) { workloads.TimerCancelStorm(workloads.TB(b)) }
 
 // BenchmarkNetworkAllToAll16 runs a 16-node mesh all-to-all exchange — the

@@ -173,7 +173,7 @@ func TestStoreForwardBufferBlockingDelaysMessage(t *testing.T) {
 		task := net.NodeOf(0).CPU.NewTask("send", machine.PriLow)
 		net.Send(p, task, &Message{Src: src.Addr(), Dst: dst.Addr(), Bytes: 100})
 	})
-	k.After(5000, func() { mach.Node(1).Mem.FreeBytes(150) })
+	k.AfterFunc(5000, func() { mach.Node(1).Mem.FreeBytes(150) })
 	k.Run()
 	// Without blocking it would deliver at 152; the buffer only frees at
 	// 5000, then transfer 102 + delivery 20.

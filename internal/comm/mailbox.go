@@ -2,8 +2,8 @@ package comm
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 )
 
@@ -11,8 +11,8 @@ import (
 // of senders may target it; receives are in delivery order.
 type Mailbox struct {
 	addr    Addr
-	queue   []*Message
-	waiters []*sim.Proc
+	queue   fifo.Ring[*Message]
+	waiters fifo.Ring[*sim.Proc]
 	// retired marks a mailbox of a killed job: deliveries dead-letter
 	// (see Network.RetireMailbox).
 	retired bool
@@ -22,15 +22,13 @@ type Mailbox struct {
 func (b *Mailbox) Addr() Addr { return b.addr }
 
 // Len reports the number of undelivered messages queued.
-func (b *Mailbox) Len() int { return len(b.queue) }
+func (b *Mailbox) Len() int { return b.queue.Len() }
 
 // deliver appends a message and wakes one waiter.
 func (b *Mailbox) deliver(m *Message) {
-	b.queue = append(b.queue, m)
-	if len(b.waiters) > 0 {
-		w := b.waiters[0]
-		b.waiters = slices.Delete(b.waiters, 0, 1)
-		w.Wake()
+	b.queue.Push(m)
+	if b.waiters.Len() > 0 {
+		b.waiters.Pop().Wake()
 	}
 }
 
@@ -39,16 +37,14 @@ func (b *Mailbox) deliver(m *Message) {
 func (b *Mailbox) take(p *sim.Proc) *Message {
 	// Scrub the waiter entry even when the process unwinds out of Park
 	// (abort path); redundant removal on the normal path is harmless.
-	defer b.removeWaiter(p)
-	for len(b.queue) == 0 {
-		b.waiters = append(b.waiters, p)
+	defer fifo.Delete(&b.waiters, p)
+	for b.queue.Len() == 0 {
+		b.waiters.Push(p)
 		p.Wait((*recvWhy)(b))
 		// A spurious wake leaves us queued as a waiter twice; scrub.
-		b.removeWaiter(p)
+		fifo.Delete(&b.waiters, p)
 	}
-	m := b.queue[0]
-	b.queue = slices.Delete(b.queue, 0, 1)
-	return m
+	return b.queue.Pop()
 }
 
 // recvWhy is the lazily formatted park reason of a process waiting on its
@@ -56,12 +52,3 @@ func (b *Mailbox) take(p *sim.Proc) *Message {
 type recvWhy Mailbox
 
 func (b *recvWhy) String() string { return fmt.Sprintf("recv on %v", b.addr) }
-
-func (b *Mailbox) removeWaiter(p *sim.Proc) {
-	for i, w := range b.waiters {
-		if w == p {
-			b.waiters = append(b.waiters[:i], b.waiters[i+1:]...)
-			return
-		}
-	}
-}

@@ -349,12 +349,11 @@ func (n *Network) RetireMailbox(b *Mailbox) {
 		return
 	}
 	b.retired = true
-	for _, m := range b.queue {
-		if !m.released {
+	for b.queue.Len() > 0 {
+		if m := b.queue.Pop(); !m.released {
 			n.discard(m)
 		}
 	}
-	b.queue = nil
 }
 
 // FreeMailbox retires a mailbox and removes it from the network entirely,

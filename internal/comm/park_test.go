@@ -1,10 +1,12 @@
 package comm
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -64,8 +66,8 @@ func TestAbortScrubsRecvWaiter(t *testing.T) {
 		net.Recv(p, task, dst)
 		t.Error("Recv returned after abort")
 	})
-	k.At(10, victim.Abort)
-	k.At(20, func() {
+	k.AtFunc(10, victim.Abort)
+	k.AtFunc(20, func() {
 		k.Spawn("sender", func(p *sim.Proc) {
 			task := mach.Node(0).CPU.NewTask("sender", machine.PriLow)
 			net.Send(p, task, &Message{Src: src.Addr(), Dst: dst.Addr(), Bytes: 8, Tag: "x"})
@@ -75,8 +77,8 @@ func TestAbortScrubsRecvWaiter(t *testing.T) {
 	if !aborted {
 		t.Fatal("victim did not unwind with Aborted")
 	}
-	if len(dst.waiters) != 0 || dst.Len() != 1 {
-		t.Errorf("mailbox has %d waiters and %d queued messages, want 0 and 1", len(dst.waiters), dst.Len())
+	if dst.waiters.Len() != 0 || dst.Len() != 1 {
+		t.Errorf("mailbox has %d waiters and %d queued messages, want 0 and 1", dst.waiters.Len(), dst.Len())
 	}
 }
 
@@ -87,7 +89,14 @@ func TestAbortScrubsRecvWaiter(t *testing.T) {
 // report themselves idle.
 func TestStepperTakesNoCoroutine(t *testing.T) {
 	const n = 16
+	// The previous test's goroutine can still be exiting when this test
+	// starts, more often on a loaded host; let it go, so the baseline
+	// counts only goroutines that outlive this test.
 	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		time.Sleep(time.Millisecond)
+		base = min(base, runtime.NumGoroutine())
+	}
 	k, mach, net := rig(t, topology.Mesh, n, StoreForward, 4<<20)
 	boxes := make([]*Mailbox, n)
 	for j := range boxes {
@@ -123,5 +132,23 @@ func TestStepperTakesNoCoroutine(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got != base {
 		t.Errorf("%d goroutines after the exchange, want %d as before it", got, base)
+	}
+}
+
+// TestParkLazyProcNames pins the text of the lazily formatted wormhole and
+// retransmission names, which ParkedProcs and Diagnose print.
+func TestParkLazyProcNames(t *testing.T) {
+	m := &Message{Src: Addr{Node: 1, Box: 2}, Dst: Addr{Node: 3, Box: 4}, uid: 7}
+	for _, c := range []struct {
+		name fmt.Stringer
+		want string
+	}{
+		{(*wormName)(m), "worm n1.b2->n3.b4"},
+		{(*retxName)(m), "retx u7"},
+		{(*retxTaskName)(m), "retx n1"},
+	} {
+		if got := c.name.String(); got != c.want {
+			t.Errorf("%T = %q, want %q", c.name, got, c.want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 
+	"repro/internal/fifo"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -161,9 +162,9 @@ func (n *Network) drainPort(local, nb int) {
 	}
 	q := n.routers[local].ports[port]
 	msgs := q.queue
-	q.queue = nil
-	for _, m := range msgs {
-		n.routers[local].enqueue(m)
+	q.queue = fifo.Ring[*Message]{}
+	for msgs.Len() > 0 {
+		n.routers[local].enqueue(msgs.Pop())
 	}
 }
 
@@ -222,6 +223,16 @@ func (n *Network) retryFire(uid int64, attempt int) {
 	n.armRetry(uid, st.attempt)
 }
 
+// retxName and retxTaskName lazily name a retransmission's process and
+// its source task.
+type (
+	retxName     Message
+	retxTaskName Message
+)
+
+func (m *retxName) String() string     { return fmt.Sprintf("retx u%d", m.uid) }
+func (m *retxTaskName) String() string { return fmt.Sprintf("retx n%d", m.Src.Node) }
+
 // retransmit injects a fresh copy of the message at its source node. The
 // copy keeps the original SentAt (end-to-end latency includes recovery) and
 // uid (so whichever copy arrives first wins and the rest are suppressed).
@@ -237,8 +248,8 @@ func (n *Network) retransmit(orig *Message) {
 		uid:     orig.uid,
 	}
 	src := clone.Src.Node
-	n.k.Spawn(fmt.Sprintf("retx u%d", clone.uid), func(p *sim.Proc) {
-		task := n.NodeOf(src).CPU.NewTask(fmt.Sprintf("retx n%d", src), machine.PriHigh)
+	n.k.SpawnNamed((*retxName)(clone), func(p *sim.Proc) {
+		task := n.NodeOf(src).CPU.NewTaskNamed((*retxTaskName)(clone), machine.PriHigh)
 		task.Compute(p, n.cost.SendOverhead)
 		n.NodeOf(src).Mem.Alloc(p, n.wireBytes(clone), mem.ClassBuffer)
 		n.routers[src].enqueue(clone)

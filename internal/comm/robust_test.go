@@ -10,7 +10,7 @@ import (
 
 // sendAt arms a send of bytes from src to dst mailboxes at time at.
 func sendAt(k *sim.Kernel, net *Network, at sim.Time, src, dst *Mailbox, bytes int64, tag string) {
-	k.At(at, func() {
+	k.AtFunc(at, func() {
 		k.Spawn("send "+tag, func(p *sim.Proc) {
 			task := net.NodeOf(src.Addr().Node).CPU.NewTask("send", machine.PriLow)
 			net.Send(p, task, &Message{Src: src.Addr(), Dst: dst.Addr(), Bytes: bytes, Tag: tag})
@@ -38,7 +38,7 @@ func TestLinkDownDetour(t *testing.T) {
 	dst := net.NewMailbox(1)
 	var got []*Message
 	recvInto(k, net, dst, &got)
-	k.At(1, func() { net.SetLinkState(0, 1, false) })
+	k.AtFunc(1, func() { net.SetLinkState(0, 1, false) })
 	sendAt(k, net, 10, src, dst, 64, "detour")
 	k.Run()
 	if len(got) != 1 {
@@ -59,8 +59,8 @@ func TestLinkRepairRestoresRoute(t *testing.T) {
 	dst := net.NewMailbox(1)
 	var got []*Message
 	recvInto(k, net, dst, &got)
-	k.At(1, func() { net.SetLinkState(0, 1, false) })
-	k.At(2, func() { net.SetLinkState(0, 1, true) })
+	k.AtFunc(1, func() { net.SetLinkState(0, 1, false) })
+	k.AtFunc(2, func() { net.SetLinkState(0, 1, true) })
 	sendAt(k, net, 10, src, dst, 64, "direct")
 	k.Run()
 	if len(got) != 1 || got[0].HopsTaken != 1 {
@@ -79,7 +79,7 @@ func TestCutPartitionDeliveryFailure(t *testing.T) {
 	dst := net.NewMailbox(1)
 	var got []*Message
 	recvInto(k, net, dst, &got)
-	k.At(1, func() { net.SetLinkState(0, 1, false) })
+	k.AtFunc(1, func() { net.SetLinkState(0, 1, false) })
 	sendAt(k, net, 10, src, dst, 64, "doomed")
 	k.Run()
 	if len(got) != 0 {
@@ -108,8 +108,8 @@ func TestRetryRecoversAfterRepair(t *testing.T) {
 	dst := net.NewMailbox(1)
 	var got []*Message
 	recvInto(k, net, dst, &got)
-	k.At(1, func() { net.SetLinkState(0, 1, false) })
-	k.At(2500, func() { net.SetLinkState(0, 1, true) })
+	k.AtFunc(1, func() { net.SetLinkState(0, 1, false) })
+	k.AtFunc(2500, func() { net.SetLinkState(0, 1, true) })
 	sendAt(k, net, 10, src, dst, 64, "retried")
 	k.Run()
 	if len(got) != 1 {
@@ -184,7 +184,7 @@ func TestRetireMailboxDeadLetters(t *testing.T) {
 	k, mach, net := rig(t, topology.Linear, 2, StoreForward, 1<<20)
 	src := net.NewMailbox(0)
 	dst := net.NewMailbox(1)
-	k.At(1, func() { net.RetireMailbox(dst) })
+	k.AtFunc(1, func() { net.RetireMailbox(dst) })
 	sendAt(k, net, 10, src, dst, 64, "late")
 	k.Run()
 	st := net.Stats()
@@ -205,7 +205,7 @@ func TestRetireMailboxDiscardsQueue(t *testing.T) {
 	src := net.NewMailbox(0)
 	dst := net.NewMailbox(1)
 	sendAt(k, net, 0, src, dst, 64, "unread")
-	k.At(100000, func() { net.RetireMailbox(dst) })
+	k.AtFunc(100000, func() { net.RetireMailbox(dst) })
 	k.Run()
 	if dst.Len() != 0 {
 		t.Errorf("retired mailbox still holds %d messages", dst.Len())

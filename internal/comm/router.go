@@ -2,8 +2,8 @@ package comm
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/fifo"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -27,26 +27,24 @@ type router struct {
 
 // msgQueue is a FIFO with a single daemon consumer.
 type msgQueue struct {
-	queue  []*Message
+	queue  fifo.Ring[*Message]
 	daemon *sim.Proc
 }
 
 func (q *msgQueue) push(m *Message) {
-	q.queue = append(q.queue, m)
+	q.queue.Push(m)
 	q.daemon.Wake()
 }
 
 // take removes and returns the head message. On an empty queue the daemon
 // waits with reason idle, and take returns nil once it parked.
 func (q *msgQueue) take(p *sim.Proc, idle fmt.Stringer) *Message {
-	for len(q.queue) == 0 {
+	for q.queue.Len() == 0 {
 		if p.Wait(idle) {
 			return nil
 		}
 	}
-	m := q.queue[0]
-	q.queue = slices.Delete(q.queue, 0, 1) // in place: keeps the capacity
-	return m
+	return q.queue.Pop()
 }
 
 // idleWhy is a router daemon's constant idle park reason.
@@ -259,6 +257,11 @@ func (f *forwarder) reroute() {
 	f.r.enqueue(m)
 }
 
+// wormName lazily names a wormhole message's process.
+type wormName Message
+
+func (m *wormName) String() string { return fmt.Sprintf("worm %s->%s", m.Src, m.Dst) }
+
 // sendWormhole implements the ablation switching mode: the message becomes a
 // "worm" that reserves the whole channel path, keeps only flit-sized state
 // per hop, and pipelines its bytes end to end. Router CPU is charged only at
@@ -269,7 +272,7 @@ func (n *Network) sendWormhole(p *sim.Proc, m *Message) {
 	// Flit-sized channel state at the source while the worm exists.
 	flit := n.cost.FlitBytes
 	n.NodeOf(src).Mem.Alloc(p, flit, mem.ClassBuffer)
-	n.k.Spawn(fmt.Sprintf("worm %s->%s", m.Src, m.Dst), func(wp *sim.Proc) {
+	n.k.SpawnNamed((*wormName)(m), func(wp *sim.Proc) {
 		srcTask := n.NodeOf(src).CPU.NewTask("worm.src", machine.PriHigh)
 		srcTask.Compute(wp, n.cost.RouterHopOverhead)
 		// The destination stores the full message; reserve it before taking

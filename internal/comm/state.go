@@ -43,17 +43,17 @@ func (n *Network) Quiet() bool {
 		return false
 	}
 	for _, r := range n.routers {
-		if len(r.delivery.queue) != 0 {
+		if r.delivery.queue.Len() != 0 {
 			return false
 		}
 		for _, q := range r.ports {
-			if len(q.queue) != 0 {
+			if q.queue.Len() != 0 {
 				return false
 			}
 		}
 	}
 	for _, b := range n.boxes {
-		if len(b.queue) != 0 || len(b.waiters) != 0 {
+		if b.queue.Len() != 0 || b.waiters.Len() != 0 {
 			return false
 		}
 	}

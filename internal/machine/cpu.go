@@ -2,8 +2,8 @@ package machine
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 )
 
@@ -107,14 +107,13 @@ type CPU struct {
 	node    int
 	quantum sim.Time
 
-	highQ []*burst
-	lowQ  []*burst
+	highQ fifo.Ring[*burst]
+	lowQ  fifo.Ring[*burst]
 
 	current     *burst
 	sliceStart  sim.Time
-	sliceTimer  sim.Timer
-	sliceEnd    func()   // onSliceEnd, bound once for the slice timers
-	curOverhead sim.Time // group-switch overhead at the head of this slice
+	slice       *sim.Timer // ends the running slice; runs onSliceEnd
+	curOverhead sim.Time   // group-switch overhead at the head of this slice
 
 	switchCost   sim.Time
 	lastLowGroup int
@@ -129,7 +128,7 @@ func NewCPU(k *sim.Kernel, node int, quantum sim.Time) *CPU {
 		panic(fmt.Sprintf("machine: node %d quantum %v", node, quantum))
 	}
 	c := &CPU{k: k, node: node, quantum: quantum, lastLowGroup: noGroupSentinel}
-	c.sliceEnd = c.onSliceEnd
+	c.slice = k.NewTimer(c.onSliceEnd)
 	return c
 }
 
@@ -294,9 +293,9 @@ func (c *CPU) submit(b *burst) {
 	}
 	b.queued = true
 	if b.prio == PriHigh {
-		c.highQ = append(c.highQ, b)
+		c.highQ.Push(b)
 	} else {
-		c.lowQ = append(c.lowQ, b)
+		c.lowQ.Push(b)
 	}
 	c.reschedule()
 }
@@ -313,7 +312,7 @@ func (c *CPU) reschedule() {
 		return
 	}
 	// Current is low priority.
-	if len(c.highQ) > 0 {
+	if c.highQ.Len() > 0 {
 		// Immediate preemption; the preempted process loses the rest of its
 		// quantum and goes to the back of the low queue (T805 rule).
 		c.stopSlice()
@@ -321,7 +320,7 @@ func (c *CPU) reschedule() {
 		c.current = nil
 		if cur.remaining > 0 {
 			cur.queued = true
-			c.lowQ = append(c.lowQ, cur)
+			c.lowQ.Push(cur)
 		} else {
 			// Preemption landed exactly at burst completion.
 			c.complete(cur)
@@ -378,11 +377,10 @@ func (c *CPU) trimSliceToQuantum() {
 	if full := effStart + cur.remaining; full < end {
 		end = full
 	}
-	if c.sliceTimer.Pending() && c.sliceTimer.At() == end {
+	if c.slice.Pending() && c.slice.At() == end {
 		return
 	}
-	c.sliceTimer.Stop()
-	c.sliceTimer = c.k.At(end, c.sliceEnd)
+	c.slice.Reset(end)
 }
 
 // dispatch starts the next burst if the CPU is idle.
@@ -390,17 +388,12 @@ func (c *CPU) dispatch() {
 	if c.current != nil {
 		return
 	}
-	// Pops shift in place (slices.Delete) rather than reslicing past the
-	// head, which would shrink the capacity until the next append
-	// reallocates.
 	var b *burst
 	switch {
-	case len(c.highQ) > 0:
-		b = c.highQ[0]
-		c.highQ = slices.Delete(c.highQ, 0, 1)
-	case len(c.lowQ) > 0:
-		b = c.lowQ[0]
-		c.lowQ = slices.Delete(c.lowQ, 0, 1)
+	case c.highQ.Len() > 0:
+		b = c.highQ.Pop()
+	case c.lowQ.Len() > 0:
+		b = c.lowQ.Pop()
 	default:
 		return
 	}
@@ -411,7 +404,7 @@ func (c *CPU) dispatch() {
 	run := b.remaining
 	ov := sim.Time(0)
 	if b.prio == PriLow {
-		if q := c.quantumFor(b); len(c.lowQ) > 0 && run > q {
+		if q := c.quantumFor(b); c.lowQ.Len() > 0 && run > q {
 			run = q
 		}
 		if c.switchCost > 0 && groupOf(b) != c.lastLowGroup {
@@ -421,7 +414,7 @@ func (c *CPU) dispatch() {
 		c.lastLowGroup = groupOf(b)
 	}
 	c.curOverhead = ov
-	c.sliceTimer = c.k.After(ov+run, c.sliceEnd)
+	c.slice.Reset(c.k.Now() + ov + run)
 }
 
 // stopSlice cancels the running slice and charges the elapsed time: first to
@@ -432,8 +425,7 @@ func (c *CPU) stopSlice() {
 	if cur == nil {
 		return
 	}
-	c.sliceTimer.Stop()
-	c.sliceTimer = sim.Timer{}
+	c.slice.Stop()
 	c.accountSlice(cur)
 }
 
@@ -467,10 +459,6 @@ func (c *CPU) charge(prio Priority, d sim.Time) {
 // finished or its quantum ran out.
 func (c *CPU) onSliceEnd() {
 	cur := c.current
-	if cur == nil {
-		return
-	}
-	c.sliceTimer = sim.Timer{}
 	c.accountSlice(cur)
 	c.current = nil
 	if cur.remaining <= 0 {
@@ -479,7 +467,7 @@ func (c *CPU) onSliceEnd() {
 		// Quantum expiry: back of the low queue.
 		c.stats.QuantumExpiries++
 		cur.queued = true
-		c.lowQ = append(c.lowQ, cur)
+		c.lowQ.Push(cur)
 	}
 	c.dispatch()
 }
@@ -496,25 +484,23 @@ func (c *CPU) complete(b *burst) {
 	}
 }
 
-// removeQueued deletes a burst from its ready queue.
+// removeQueued deletes a burst from its ready queue, keeping the order of
+// the rest.
 func (c *CPU) removeQueued(b *burst) {
 	q := &c.lowQ
 	if b.prio == PriHigh {
 		q = &c.highQ
 	}
-	for i, x := range *q {
-		if x == b {
-			*q = append((*q)[:i], (*q)[i+1:]...)
-			b.queued = false
-			return
-		}
+	if fifo.Delete(q, b) {
+		b.queued = false
+		return
 	}
 	panic(fmt.Sprintf("machine: node %d burst not found in %v queue", c.node, b.prio))
 }
 
 // QueueLens reports the current ready-queue lengths (high, low), excluding
 // the running burst. Useful in tests and tracing.
-func (c *CPU) QueueLens() (int, int) { return len(c.highQ), len(c.lowQ) }
+func (c *CPU) QueueLens() (int, int) { return c.highQ.Len(), c.lowQ.Len() }
 
 // CPUState is the CPU's persistent cross-job state: the accumulated
 // statistics plus the identity of the last low-priority group dispatched
@@ -530,7 +516,7 @@ type CPUState struct {
 // idle (no current burst, empty queues); it panics otherwise, because an
 // open slice holds unaccounted busy time that a snapshot would lose.
 func (c *CPU) SnapshotState() CPUState {
-	if c.current != nil || len(c.highQ) != 0 || len(c.lowQ) != 0 {
+	if c.current != nil || c.highQ.Len() != 0 || c.lowQ.Len() != 0 {
 		panic(fmt.Sprintf("machine: snapshot of busy CPU on node %d", c.node))
 	}
 	return CPUState{Stats: c.stats, LastLowGroup: c.lastLowGroup}

@@ -213,8 +213,8 @@ func TestSuspendResumeQueuedTask(t *testing.T) {
 		tl.Compute(p, q)
 		done = p.Now()
 	})
-	k.After(2, func() { tl.Suspend() })
-	k.After(5*q, func() { tl.Resume() })
+	k.AfterFunc(2, func() { tl.Suspend() })
+	k.AfterFunc(5*q, func() { tl.Resume() })
 	k.Run()
 	// l was suspended while queued; once resumed it round-robins with
 	// blocker. Without suspension it would have finished much earlier.
@@ -235,8 +235,8 @@ func TestSuspendRunningTaskPreservesWork(t *testing.T) {
 		tl.Compute(p, 2*q)
 		done = p.Now()
 	})
-	k.After(q/2, func() { tl.Suspend() })
-	k.After(10*q, func() { tl.Resume() })
+	k.AfterFunc(q/2, func() { tl.Suspend() })
+	k.AfterFunc(10*q, func() { tl.Resume() })
 	k.Run()
 	// Ran q/2, suspended for the gap, needs 1.5q more after resume.
 	want := 10*q + 2*q - q/2
@@ -258,7 +258,7 @@ func TestComputeWhileSuspendedWaitsForResume(t *testing.T) {
 		tl.Compute(p, q)
 		done = p.Now()
 	})
-	k.After(3*q, func() { tl.Resume() })
+	k.AfterFunc(3*q, func() { tl.Resume() })
 	k.Run()
 	if done != 4*q {
 		t.Errorf("done at %v, want %v", done, 4*q)
@@ -453,7 +453,7 @@ func TestQueueLensAndRunning(t *testing.T) {
 		task := c.NewTask("t", PriLow)
 		k.Spawn("t", func(p *sim.Proc) { task.Compute(p, q) })
 	}
-	k.After(1, func() {
+	k.AfterFunc(1, func() {
 		if !c.Running() {
 			t.Error("CPU should be running")
 		}

@@ -2,8 +2,8 @@ package machine
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 )
 
@@ -26,7 +26,7 @@ type HalfLink struct {
 	name     string
 	busy     bool
 	busyFrom sim.Time
-	waiters  []*LinkWaiter
+	waiters  fifo.Ring[*LinkWaiter]
 	stats    LinkStats
 }
 
@@ -54,7 +54,7 @@ func (h *HalfLink) Stats() LinkStats { return h.stats }
 // downstream metrics take a max over directions, which an aggregate would
 // corrupt. The direction must be idle (not held, nobody queued).
 func (h *HalfLink) RestoreStats(st LinkStats) {
-	if h.busy || len(h.waiters) != 0 {
+	if h.busy || h.waiters.Len() != 0 {
 		panic(fmt.Sprintf("machine: restore into busy link %s", h.name))
 	}
 	h.stats = st
@@ -77,7 +77,7 @@ func (h *HalfLink) Acquire(p *sim.Proc) {
 			if w.granted {
 				h.Release()
 			} else {
-				h.removeWaiter(w)
+				fifo.Delete(&h.waiters, w)
 			}
 			panic(r)
 		}
@@ -91,7 +91,7 @@ func (h *HalfLink) Acquire(p *sim.Proc) {
 // and returns it. Await finishes the acquire.
 func (h *HalfLink) Request(p *sim.Proc, w *LinkWaiter) *LinkWaiter {
 	now := h.k.Now()
-	if !h.busy && len(h.waiters) == 0 {
+	if !h.busy && h.waiters.Len() == 0 {
 		h.busy = true
 		h.busyFrom = now
 		if w != nil {
@@ -103,7 +103,7 @@ func (h *HalfLink) Request(p *sim.Proc, w *LinkWaiter) *LinkWaiter {
 		w = new(LinkWaiter)
 	}
 	*w = LinkWaiter{proc: p, since: now}
-	h.waiters = append(h.waiters, w)
+	h.waiters.Push(w)
 	return w
 }
 
@@ -126,25 +126,14 @@ type acquireWhy HalfLink
 
 func (h *acquireWhy) String() string { return "acquire " + h.name }
 
-// removeWaiter deletes a pending acquire from the queue (abort path).
-func (h *HalfLink) removeWaiter(w *LinkWaiter) {
-	for i, x := range h.waiters {
-		if x == w {
-			h.waiters = append(h.waiters[:i], h.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
 // Release frees the direction and hands it to the next waiter, if any.
 func (h *HalfLink) Release() {
 	if !h.busy {
 		panic(fmt.Sprintf("machine: release of idle %s", h.name))
 	}
 	h.stats.BusyTime += h.k.Now() - h.busyFrom
-	if len(h.waiters) > 0 {
-		w := h.waiters[0]
-		h.waiters = slices.Delete(h.waiters, 0, 1)
+	if h.waiters.Len() > 0 {
+		w := h.waiters.Pop()
 		w.granted = true
 		h.busyFrom = h.k.Now()
 		w.proc.Wake()

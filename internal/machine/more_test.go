@@ -55,8 +55,8 @@ func TestSuspendResumePreservesQueuePositionSemantics(t *testing.T) {
 	k.Spawn("b", func(p *sim.Proc) { tb.Compute(p, q/2); order = append(order, "b") })
 	k.Spawn("c", func(p *sim.Proc) { p.Sleep(1); tc.Compute(p, q/2); order = append(order, "c") })
 	// Suspend b while queued; resume after c joined: b lands behind c.
-	k.After(2, func() { tb.Suspend() })
-	k.After(3, func() { tb.Resume() })
+	k.AfterFunc(2, func() { tb.Suspend() })
+	k.AfterFunc(3, func() { tb.Resume() })
 	k.Run()
 	if len(order) != 3 || order[0] != "c" || order[1] != "b" {
 		t.Fatalf("order = %v, want c before b (requeue at tail)", order)

@@ -64,13 +64,13 @@ func TestAbortScrubsLinkWaiter(t *testing.T) {
 		h.Acquire(p)
 		t.Error("Acquire returned after abort")
 	})
-	k.At(10, victim.Abort)
+	k.AtFunc(10, victim.Abort)
 	k.Run()
 	if !aborted {
 		t.Fatal("victim did not unwind with Aborted")
 	}
-	if h.Busy() || len(h.waiters) != 0 {
-		t.Errorf("link busy=%v with %d waiters after abort and release", h.Busy(), len(h.waiters))
+	if h.Busy() || h.waiters.Len() != 0 {
+		t.Errorf("link busy=%v with %d waiters after abort and release", h.Busy(), h.waiters.Len())
 	}
 }
 
@@ -101,7 +101,7 @@ func TestAbortAfterLinkGrantReleases(t *testing.T) {
 	if !aborted {
 		t.Fatal("victim did not unwind with Aborted")
 	}
-	if h.Busy() || len(h.waiters) != 0 {
-		t.Errorf("link busy=%v with %d waiters after a granted-then-aborted acquire", h.Busy(), len(h.waiters))
+	if h.Busy() || h.waiters.Len() != 0 {
+		t.Errorf("link busy=%v with %d waiters after a granted-then-aborted acquire", h.Busy(), h.waiters.Len())
 	}
 }

@@ -14,8 +14,8 @@ package mem
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 )
 
@@ -81,7 +81,7 @@ type MMU struct {
 	node     int
 	capacity int64
 	used     int64
-	waiters  []*Waiter
+	waiters  fifo.Ring[*Waiter]
 	stats    Stats
 }
 
@@ -105,13 +105,13 @@ func (m *MMU) Used() int64 { return m.used }
 func (m *MMU) Free() int64 { return m.capacity - m.used }
 
 // Waiting reports the number of allocation requests currently blocked.
-func (m *MMU) Waiting() int { return len(m.waiters) }
+func (m *MMU) Waiting() int { return m.waiters.Len() }
 
 // PendingBytes reports the total bytes requested by blocked allocations.
 func (m *MMU) PendingBytes() int64 {
 	var sum int64
-	for _, w := range m.waiters {
-		sum += w.bytes
+	for i := 0; i < m.waiters.Len(); i++ {
+		sum += m.waiters.At(i).bytes
 	}
 	return sum
 }
@@ -119,10 +119,10 @@ func (m *MMU) PendingBytes() int64 {
 // OldestWaiter describes the queue-head request for diagnostics; empty when
 // nothing waits.
 func (m *MMU) OldestWaiter() string {
-	if len(m.waiters) == 0 {
+	if m.waiters.Len() == 0 {
 		return ""
 	}
-	w := m.waiters[0]
+	w := m.waiters.At(0)
 	return fmt.Sprintf("%s wants %dB (waiting since %s)", w.proc.Name(), w.bytes, w.since)
 }
 
@@ -134,7 +134,7 @@ func (m *MMU) Stats() Stats { return m.stats }
 // because used bytes and queued requests are transient state a snapshot
 // deliberately excludes.
 func (m *MMU) RestoreStats(st Stats) {
-	if m.used != 0 || len(m.waiters) != 0 {
+	if m.used != 0 || m.waiters.Len() != 0 {
 		panic(fmt.Sprintf("mem: restore into busy MMU on node %d", m.node))
 	}
 	m.stats = st
@@ -153,7 +153,7 @@ func (m *MMU) TryAlloc(bytes int64, class Class) bool {
 	if bytes == 0 {
 		return true
 	}
-	if bytes > m.capacity || len(m.waiters) > 0 || m.used+bytes > m.capacity {
+	if bytes > m.capacity || m.waiters.Len() > 0 || m.used+bytes > m.capacity {
 		return false
 	}
 	m.grant(bytes, class)
@@ -201,7 +201,7 @@ func (m *MMU) Request(p *sim.Proc, bytes int64, class Class, w *Waiter) *Waiter 
 		w = new(Waiter)
 	}
 	*w = Waiter{proc: p, node: m.node, bytes: bytes, class: class, since: m.k.Now()}
-	m.waiters = append(m.waiters, w)
+	m.waiters.Push(w)
 	m.stats.BlockedAllocs++
 	return w
 }
@@ -226,13 +226,9 @@ func (w *allocWhy) String() string { return fmt.Sprintf("mem alloc %dB on node %
 
 // removeWaiter deletes a pending request from the queue (abort path).
 func (m *MMU) removeWaiter(w *Waiter) {
-	for i, x := range m.waiters {
-		if x == w {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-			// The head may have changed; later requests may now fit.
-			m.admit()
-			return
-		}
+	if fifo.Delete(&m.waiters, w) {
+		// The head may have changed; later requests may now fit.
+		m.admit()
 	}
 }
 
@@ -270,12 +266,12 @@ func (m *MMU) FreeBytes(bytes int64) {
 
 // admit grants queue-head waiters whose requests now fit and wakes them.
 func (m *MMU) admit() {
-	for len(m.waiters) > 0 {
-		w := m.waiters[0]
+	for m.waiters.Len() > 0 {
+		w := m.waiters.At(0)
 		if m.used+w.bytes > m.capacity {
 			return
 		}
-		m.waiters = slices.Delete(m.waiters, 0, 1) // in place: keeps the capacity
+		m.waiters.Pop()
 		m.grant(w.bytes, w.class)
 		w.granted = true
 		w.proc.Wake()

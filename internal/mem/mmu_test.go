@@ -57,7 +57,7 @@ func TestAllocBlocksUntilFree(t *testing.T) {
 		m.Alloc(p, 500, ClassBuffer)
 		gotAt = p.Now()
 	})
-	k.After(100, func() { m.FreeBytes(900) })
+	k.AfterFunc(100, func() { m.FreeBytes(900) })
 	k.Run()
 	if gotAt != 100 {
 		t.Errorf("blocked alloc completed at %v, want 100", gotAt)
@@ -87,7 +87,7 @@ func TestFIFOOrderAmongWaiters(t *testing.T) {
 	}
 	spawnAlloc("big", 800)   // queued first
 	spawnAlloc("small", 100) // must wait behind big even though it would fit sooner
-	k.After(10, func() { m.FreeBytes(1000) })
+	k.AfterFunc(10, func() { m.FreeBytes(1000) })
 	k.Run()
 	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
 		t.Fatalf("order = %v, want [big small]", order)
@@ -101,7 +101,7 @@ func TestTryAllocYieldsToWaiters(t *testing.T) {
 	k.Spawn("waiter", func(p *sim.Proc) {
 		m.Alloc(p, 200, ClassData)
 	})
-	k.After(5, func() {
+	k.AfterFunc(5, func() {
 		// 300 bytes free but waiter is queued: TryAlloc must refuse so the
 		// waiter is served first.
 		m.FreeBytes(100)
@@ -112,7 +112,7 @@ func TestTryAllocYieldsToWaiters(t *testing.T) {
 			t.Error("TryAlloc must fail while a waiter is queued")
 		}
 	})
-	k.After(10, func() { m.FreeBytes(200) })
+	k.AfterFunc(10, func() { m.FreeBytes(200) })
 	k.Run()
 	if m.Waiting() != 0 {
 		t.Errorf("Waiting = %d at end", m.Waiting())
@@ -128,8 +128,8 @@ func TestPartialFreeAdmitsWhenEnough(t *testing.T) {
 		m.Alloc(p, 600, ClassBuffer)
 		done = true
 	})
-	k.After(10, func() { m.FreeBytes(300) }) // not enough
-	k.After(20, func() { m.FreeBytes(300) }) // now 600 free
+	k.AfterFunc(10, func() { m.FreeBytes(300) }) // not enough
+	k.AfterFunc(20, func() { m.FreeBytes(300) }) // now 600 free
 	k.Run()
 	if !done {
 		t.Fatal("waiter never admitted")
@@ -150,7 +150,7 @@ func TestMultipleWaitersAdmittedTogether(t *testing.T) {
 			count++
 		})
 	}
-	k.After(10, func() { m.FreeBytes(1000) })
+	k.AfterFunc(10, func() { m.FreeBytes(1000) })
 	k.Run()
 	if count != 4 {
 		t.Fatalf("admitted %d of 4", count)
@@ -302,7 +302,7 @@ func TestPendingBytesAndOldestWaiter(t *testing.T) {
 	}
 	k.Spawn("first-waiter", func(p *sim.Proc) { m.Alloc(p, 400, ClassData) })
 	k.Spawn("second-waiter", func(p *sim.Proc) { m.Alloc(p, 300, ClassBuffer) })
-	k.After(10, func() {
+	k.AfterFunc(10, func() {
 		if m.PendingBytes() != 700 {
 			t.Errorf("pending = %d, want 700", m.PendingBytes())
 		}
@@ -311,7 +311,7 @@ func TestPendingBytesAndOldestWaiter(t *testing.T) {
 			t.Errorf("head = %q", head)
 		}
 	})
-	k.After(20, func() { m.FreeBytes(1000) })
+	k.AfterFunc(20, func() { m.FreeBytes(1000) })
 	k.Run()
 	if m.PendingBytes() != 0 {
 		t.Errorf("pending after drain = %d", m.PendingBytes())

@@ -50,7 +50,7 @@ func TestAbortScrubsMMUWaiter(t *testing.T) {
 		m.Alloc(p, 100, ClassBuffer)
 		small = p.Now()
 	})
-	k.At(10, victim.Abort)
+	k.AtFunc(10, victim.Abort)
 	k.Run()
 	if !aborted {
 		t.Fatal("victim did not unwind with Aborted")
@@ -82,7 +82,7 @@ func TestAbortAfterMMUGrantFrees(t *testing.T) {
 		m.Alloc(p, 500, ClassData)
 		t.Error("Alloc returned after abort")
 	})
-	k.At(10, func() {
+	k.AtFunc(10, func() {
 		m.FreeBytes(900) // grants victim's 500B and wakes it
 		victim.Abort()
 	})

@@ -19,17 +19,17 @@ func KernelEventThroughput(b B) {
 	reschedule = func() {
 		count++
 		if count < n {
-			k.After(sim.Time(count%97+1), reschedule)
+			k.AfterFunc(sim.Time(count%97+1), reschedule)
 		}
 	}
 	b.ResetTimer()
-	k.After(1, reschedule)
+	k.AfterFunc(1, reschedule)
 	k.Run()
 }
 
 // KernelEventChurn drives 64 interleaved self-rescheduling event chains —
-// the schedule/fire pattern that dominates simulation runs — and its
-// allocs/op is the event pool's headline number.
+// the schedule/fire pattern that dominates simulation runs — through the
+// handle-free event heap.
 func KernelEventChurn(b B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
@@ -38,29 +38,33 @@ func KernelEventChurn(b B) {
 	fire = func() {
 		if remaining > 0 {
 			remaining--
-			k.After(sim.Time(remaining%127+1), fire)
+			k.AfterFunc(sim.Time(remaining%127+1), fire)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < 64 && i < b.N(); i++ {
-		k.After(sim.Time(i+1), fire)
+		k.AfterFunc(sim.Time(i+1), fire)
 	}
 	k.Run()
 }
 
-// TimerCancelStorm schedules batches of timers and cancels three quarters
-// of them before they fire — the slice-expiry/retry-timer pattern where
-// most armed timers never run.
+// TimerCancelStorm arms batches of 256 re-armable timers and stops three
+// quarters of them before they fire — the slice-expiry pattern where most
+// armed timers never run.
 func TimerCancelStorm(b B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
 	const batch = 256
 	fired := 0
+	timers := make([]*sim.Timer, batch)
+	for j := range timers {
+		timers[j] = k.NewTimer(func() { fired++ })
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N(); i++ {
 		want := fired + batch/4
-		for j := 0; j < batch; j++ {
-			tm := k.After(sim.Time(j%61+1), func() { fired++ })
+		for j, tm := range timers {
+			tm.Reset(k.Now() + sim.Time(j%61+1))
 			if j%4 != 0 {
 				tm.Stop()
 			}
@@ -69,6 +73,26 @@ func TimerCancelStorm(b B) {
 		if fired != want {
 			b.Fatalf("fired %d of batch, want %d", fired, want)
 		}
+	}
+}
+
+// SliceRotation runs 16 low-priority bursts round-robin on one CPU under a
+// 125 µs quantum, the RR-job slice of a fixed-architecture job on one
+// node: every op is one slice end, that is one timer fire, a ready-queue
+// pop and push, and a re-arm of the CPU's slice timer.
+func SliceRotation(b B) {
+	b.ReportAllocs()
+	const bursts, quantum = 16, 125 * sim.Microsecond
+	k := sim.NewKernel(1)
+	cpu := machine.NewCPU(k, 0, quantum)
+	rounds := (b.N() + bursts - 1) / bursts
+	for i := 0; i < bursts; i++ {
+		cpu.ChargeAsync(machine.PriLow, sim.Time(rounds)*quantum, nil)
+	}
+	b.ResetTimer()
+	k.Run()
+	if got, want := cpu.Stats().Dispatches, int64(rounds*bursts); got != want {
+		b.Fatalf("%d slices, want %d", got, want)
 	}
 }
 

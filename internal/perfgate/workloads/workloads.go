@@ -63,6 +63,7 @@ var registry = map[string]Func{
 	"kernel-throughput":  KernelEventThroughput,
 	"kernel-churn":       KernelEventChurn,
 	"timer-cancel-storm": TimerCancelStorm,
+	"slice-rotation":     SliceRotation,
 	"all-to-all-16":      AllToAll16,
 	"sweep-scaling":      SweepScaling,
 	"sweep-forked":       SweepForked,

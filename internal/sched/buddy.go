@@ -1,6 +1,10 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/fifo"
+)
 
 // buddy is a classic buddy allocator over a power-of-two array of nodes,
 // used by the dynamic space-sharing policy to hand out contiguous
@@ -8,9 +12,9 @@ import "fmt"
 // class of machines the paper's introduction cites). Deterministic: the
 // lowest-addressed suitable block is always chosen.
 type buddy struct {
-	size  int           // total nodes, power of two
-	free  map[int][]int // order -> ascending block starts
-	order map[int]int   // allocated block start -> order
+	size  int              // total nodes, power of two
+	free  []fifo.Ring[int] // by order: ascending block starts
+	order map[int]int      // allocated block start -> order
 }
 
 // orderOf returns log2(size) for power-of-two sizes.
@@ -26,15 +30,15 @@ func newBuddy(size int) *buddy {
 	if size < 1 || size&(size-1) != 0 {
 		panic(fmt.Sprintf("sched: buddy size %d not a power of two", size))
 	}
-	b := &buddy{size: size, free: make(map[int][]int), order: make(map[int]int)}
-	b.free[orderOf(size)] = []int{0}
+	b := &buddy{size: size, free: make([]fifo.Ring[int], orderOf(size)+1), order: make(map[int]int)}
+	b.free[orderOf(size)].Push(0)
 	return b
 }
 
 // largest reports the size of the biggest free block (0 when full).
 func (b *buddy) largest() int {
 	for o := orderOf(b.size); o >= 0; o-- {
-		if len(b.free[o]) > 0 {
+		if b.free[o].Len() > 0 {
 			return 1 << o
 		}
 	}
@@ -44,8 +48,8 @@ func (b *buddy) largest() int {
 // freeNodes reports the total free capacity.
 func (b *buddy) freeNodes() int {
 	total := 0
-	for o, blocks := range b.free {
-		total += len(blocks) << o
+	for o := range b.free {
+		total += b.free[o].Len() << o
 	}
 	return total
 }
@@ -61,7 +65,7 @@ func (b *buddy) alloc(size int) (int, bool) {
 	// Find the smallest order >= want with a free block.
 	from := -1
 	for o := want; o <= orderOf(b.size); o++ {
-		if len(b.free[o]) > 0 {
+		if b.free[o].Len() > 0 {
 			from = o
 			break
 		}
@@ -69,8 +73,7 @@ func (b *buddy) alloc(size int) (int, bool) {
 	if from < 0 {
 		return 0, false
 	}
-	start := b.free[from][0]
-	b.free[from] = b.free[from][1:]
+	start := b.free[from].Pop()
 	// Split down to the wanted order, keeping the low half each time.
 	for o := from; o > want; o-- {
 		half := 1 << (o - 1)
@@ -101,24 +104,14 @@ func (b *buddy) release(start int) {
 }
 
 func (b *buddy) insertFree(o, start int) {
-	blocks := b.free[o]
+	blocks := &b.free[o]
 	i := 0
-	for i < len(blocks) && blocks[i] < start {
+	for i < blocks.Len() && blocks.At(i) < start {
 		i++
 	}
-	blocks = append(blocks, 0)
-	copy(blocks[i+1:], blocks[i:])
-	blocks[i] = start
-	b.free[o] = blocks
+	blocks.Insert(i, start)
 }
 
 func (b *buddy) removeFree(o, start int) bool {
-	blocks := b.free[o]
-	for i, s := range blocks {
-		if s == start {
-			b.free[o] = append(blocks[:i], blocks[i+1:]...)
-			return true
-		}
-	}
-	return false
+	return fifo.Delete(&b.free[o], start)
 }

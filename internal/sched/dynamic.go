@@ -22,7 +22,7 @@ import (
 // one event so that all jobs arriving at the same instant are visible to
 // the equipartition heuristic before any block is granted.
 func (s *System) dynArrive(js *jobState) {
-	s.pending = s.enqueue(s.pending, js)
+	s.enqueue(&s.pending, js)
 	s.k.AfterFunc(0, s.dynDispatch)
 }
 
@@ -31,7 +31,7 @@ func (s *System) dynArrive(js *jobState) {
 // rounded down to a power of two, clamped to [1, MaxPartition] and to what
 // the pool can actually provide.
 func (s *System) dynTargetSize() int {
-	inSystem := s.dynRunning + len(s.pending)
+	inSystem := s.dynRunning + s.pending.Len()
 	if inSystem < 1 {
 		inSystem = 1
 	}
@@ -64,7 +64,7 @@ func (s *System) dynMaxBlock() int {
 
 // dynDispatch places queued jobs while blocks are available.
 func (s *System) dynDispatch() {
-	for len(s.pending) > 0 {
+	for s.pending.Len() > 0 {
 		size := s.dynTargetSize()
 		if size < 1 {
 			return // pool exhausted
@@ -73,8 +73,7 @@ func (s *System) dynDispatch() {
 		if !ok {
 			return
 		}
-		js := s.pending[0]
-		s.pending = s.pending[1:]
+		js := s.pending.Pop()
 		nodes := make([]int, size)
 		for i := range nodes {
 			nodes[i] = start + i

@@ -56,7 +56,7 @@ func (equiPartition) Healthy(s *System, part *Partition) {}
 // rebalance is deferred by one event so all jobs arriving at the same
 // instant are counted before any block is granted or resized.
 func (s *System) equiArrive(js *jobState) {
-	s.pending = s.enqueue(s.pending, js)
+	s.enqueue(&s.pending, js)
 	s.k.AfterFunc(0, s.equiRebalance)
 }
 
@@ -99,7 +99,7 @@ func (s *System) equiTarget(inSystem int) int {
 // when the target clamps to one and there are more jobs than processors,
 // in which case the excess simply stays queued.
 func (s *System) equiRebalance() {
-	inSystem := len(s.equiJobs) + len(s.pending)
+	inSystem := len(s.equiJobs) + s.pending.Len()
 	if inSystem == 0 {
 		return
 	}
@@ -110,13 +110,12 @@ func (s *System) equiRebalance() {
 		}
 		s.equiMigrate(js, target)
 	}
-	for len(s.pending) > 0 {
+	for s.pending.Len() > 0 {
 		start, ok := s.pool.alloc(target)
 		if !ok {
 			return
 		}
-		js := s.pending[0]
-		s.pending = s.pending[1:]
+		js := s.pending.Pop()
 		s.equiJobs = append(s.equiJobs, js)
 		s.equiPlace(js, start, target)
 	}
@@ -140,7 +139,7 @@ func (s *System) equiMigrate(js *jobState, target int) {
 				break
 			}
 		}
-		s.pending = append([]*jobState{js}, s.pending...)
+		s.pending.Insert(0, js)
 		return
 	}
 	s.equiPlace(js, start, target)

@@ -1,7 +1,5 @@
 package sched
 
-import "repro/internal/sim"
-
 // Gang scheduling (extension policy): instead of letting every resident
 // job's processes time-share node-by-node with job-fair quanta (the paper's
 // RR-job), the partition scheduler coschedules — exactly one job's
@@ -64,7 +62,6 @@ func (s *System) gangLeave(part *Partition, js *jobState) {
 
 // gangRotate suspends the active job and resumes the next one.
 func (s *System) gangRotate(part *Partition) {
-	part.gangTimer = sim.Timer{}
 	if len(part.gangJobs) < 2 {
 		return
 	}
@@ -76,19 +73,22 @@ func (s *System) gangRotate(part *Partition) {
 
 // gangArm schedules the next rotation if one is due and not already armed.
 func (s *System) gangArm(part *Partition) {
-	if part.gangTimer.Pending() {
-		return
-	}
 	if len(part.gangJobs) < 2 {
 		return
 	}
-	part.gangTimer = s.k.After(s.cfg.BasicQuantum, func() { s.gangRotate(part) })
+	if part.gangTimer == nil {
+		part.gangTimer = s.k.NewTimer(func() { s.gangRotate(part) })
+	}
+	if !part.gangTimer.Pending() {
+		part.gangTimer.Reset(s.k.Now() + s.cfg.BasicQuantum)
+	}
 }
 
 // gangDisarm cancels any pending rotation.
 func (s *System) gangDisarm(part *Partition) {
-	part.gangTimer.Stop()
-	part.gangTimer = sim.Timer{}
+	if part.gangTimer != nil {
+		part.gangTimer.Stop()
+	}
 }
 
 // gangSetSuspended flips every task of the job.

@@ -90,7 +90,7 @@ func TestGangActiveJobExclusive(t *testing.T) {
 	}
 	batch := syntheticBatch(3, 80*sim.Millisecond, workload.Adaptive)
 	// Sample after everything is loaded and rotating.
-	k.After(60*sim.Millisecond, func() {
+	k.AfterFunc(60*sim.Millisecond, func() {
 		suspendedJobs := 0
 		for _, js := range sys.parts[0].gangJobs {
 			allSuspended := true

@@ -136,7 +136,7 @@ func (sharedPartition) Killed(s *System, part *Partition) {
 func (sharedPartition) Requeue(s *System, js *jobState) {
 	alt := s.survivingPartition()
 	if alt == nil {
-		s.stalled = append(s.stalled, js)
+		s.stalled.Push(js)
 		return
 	}
 	s.place(alt, js)
@@ -145,13 +145,12 @@ func (sharedPartition) Requeue(s *System, js *jobState) {
 func (sharedPartition) Healthy(s *System, part *Partition) {
 	// First the jobs stalled with nowhere to run, then this partition's
 	// own admission queue.
-	for len(s.stalled) > 0 {
+	for s.stalled.Len() > 0 {
 		alt := s.survivingPartition()
 		if alt == nil {
 			return
 		}
-		js := s.stalled[0]
-		s.stalled = s.stalled[1:]
+		js := s.stalled.Pop()
 		s.place(alt, js)
 	}
 	s.drainQueue(part)

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 )
 
@@ -258,15 +259,12 @@ type QueueOrder interface {
 
 // enqueue inserts js into q under the system's queue order, stable within
 // ties.
-func (s *System) enqueue(q []*jobState, js *jobState) []*jobState {
-	at := len(q)
-	for at > 0 && s.order.Before(js, q[at-1]) {
+func (s *System) enqueue(q *fifo.Ring[*jobState], js *jobState) {
+	at := q.Len()
+	for at > 0 && s.order.Before(js, q.At(at-1)) {
 		at--
 	}
-	q = append(q, nil)
-	copy(q[at+1:], q[at:])
-	q[at] = js
-	return q
+	q.Insert(at, js)
 }
 
 // UnknownPolicyError reports an unrecognised policy, component or spec

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -190,29 +191,29 @@ func TestEnqueueOrderProperty(t *testing.T) {
 	orders := []QueueOrder{fcfsOrder{}, priorityOrder{}, srptOrder{}}
 	for _, ord := range orders {
 		s := &System{order: ord}
-		var q []*jobState
+		var q fifo.Ring[*jobState]
 		for i := 0; i < 200; i++ {
 			js := &jobState{job: &workload.Job{
 				ID:       i,
 				Priority: rng.Intn(3),
 				App:      workload.NewSynthetic(sim.Time(1+rng.Intn(50))*sim.Millisecond, 64, 256, workload.DefaultAppCost()),
 			}}
-			q = s.enqueue(q, js)
+			s.enqueue(&q, js)
 		}
-		for i := 0; i+1 < len(q); i++ {
-			if ord.Before(q[i+1], q[i]) {
+		for i := 0; i+1 < q.Len(); i++ {
+			if ord.Before(q.At(i+1), q.At(i)) {
 				t.Fatalf("%T: queue out of order at %d", ord, i)
 			}
 		}
 		// Equal elements keep arrival order: a stable re-insert of the same
 		// queue must reproduce it exactly.
 		s2 := &System{order: ord}
-		var q2 []*jobState
-		for _, js := range q {
-			q2 = s2.enqueue(q2, js)
+		var q2 fifo.Ring[*jobState]
+		for i := 0; i < q.Len(); i++ {
+			s2.enqueue(&q2, q.At(i))
 		}
-		for i := range q {
-			if eq := !ord.Before(q[i], q2[i]) && !ord.Before(q2[i], q[i]); !eq {
+		for i := 0; i < q.Len(); i++ {
+			if eq := !ord.Before(q.At(i), q2.At(i)) && !ord.Before(q2.At(i), q.At(i)); !eq {
 				t.Fatalf("%T: re-insert changed relative order at %d", ord, i)
 			}
 		}

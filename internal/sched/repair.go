@@ -195,9 +195,8 @@ func (s *System) onNodeUp(g int) {
 
 // drainQueue launches queued jobs while the partition has admission slots.
 func (s *System) drainQueue(part *Partition) {
-	for len(part.queue) > 0 && (s.cfg.MaxResident <= 0 || part.resident < s.cfg.MaxResident) {
-		next := part.queue[0]
-		part.queue = part.queue[1:]
+	for part.queue.Len() > 0 && (s.cfg.MaxResident <= 0 || part.resident < s.cfg.MaxResident) {
+		next := part.queue.Pop()
 		part.resident++
 		s.launch(part, next)
 	}

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/fault"
+	"repro/internal/fifo"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -159,7 +160,7 @@ type System struct {
 	quant   QuantumPolicy
 	order   QueueOrder
 
-	pending   []*jobState // global ready queue (space-sharing policies), in queue order
+	pending   fifo.Ring[*jobState] // global ready queue (space-sharing policies), in queue order
 	records   []metrics.JobRecord
 	remaining int
 	started   int
@@ -188,7 +189,7 @@ type System struct {
 	// Fault-injection and repair state (see repair.go).
 	inj        *fault.Injector
 	faultStats metrics.FaultStats
-	stalled    []*jobState // killed jobs waiting for any partition to heal
+	stalled    fifo.Ring[*jobState] // killed jobs waiting for any partition to heal
 	runningNow int
 	fatalErr   error
 }
@@ -202,12 +203,12 @@ type Partition struct {
 
 	// Time-sharing admission control (MaxResident > 0).
 	resident int
-	queue    []*jobState
+	queue    fifo.Ring[*jobState]
 
 	// Gang-scheduling rotation state.
 	gangJobs  []*jobState
 	gangIdx   int
-	gangTimer sim.Timer
+	gangTimer *sim.Timer // created on the first arm
 
 	// Fault state: which local nodes are down. A degraded partition accepts
 	// no jobs until every node is repaired.
@@ -435,12 +436,12 @@ func (s *System) StreamPending() bool { return s.src != nil }
 // Queued reports jobs waiting for processors: the global ready queue,
 // fault-stalled jobs, and per-partition admission queues.
 func (s *System) Queued() int {
-	n := len(s.pending) + len(s.stalled)
+	n := s.pending.Len() + s.stalled.Len()
 	for _, p := range s.parts {
-		n += len(p.queue)
+		n += p.queue.Len()
 	}
 	for _, p := range s.dynParts {
-		n += len(p.queue)
+		n += p.queue.Len()
 	}
 	return n
 }
@@ -490,7 +491,7 @@ func (s *System) atArrival(js *jobState, fn func()) {
 // configured QueueOrder (FCFS within priority bands by default) — and
 // offers it to the free partitions.
 func (s *System) arriveReady(js *jobState) {
-	s.pending = s.enqueue(s.pending, js)
+	s.enqueue(&s.pending, js)
 	for _, part := range s.parts {
 		s.dispatchNext(part)
 	}
@@ -504,7 +505,7 @@ func (s *System) admit(part *Partition, js *jobState) {
 	if part.degraded() {
 		alt := s.survivingPartition()
 		if alt == nil {
-			s.stalled = append(s.stalled, js)
+			s.stalled.Push(js)
 			return
 		}
 		part = alt
@@ -516,7 +517,7 @@ func (s *System) admit(part *Partition, js *jobState) {
 // MaxResident admission cap.
 func (s *System) place(part *Partition, js *jobState) {
 	if s.cfg.MaxResident > 0 && part.resident >= s.cfg.MaxResident {
-		part.queue = s.enqueue(part.queue, js)
+		s.enqueue(&part.queue, js)
 		return
 	}
 	part.resident++
@@ -526,11 +527,10 @@ func (s *System) place(part *Partition, js *jobState) {
 // dispatchNext hands the FCFS queue head to a free, healthy partition
 // (static policy).
 func (s *System) dispatchNext(part *Partition) {
-	if part.busy || part.degraded() || len(s.pending) == 0 {
+	if part.busy || part.degraded() || s.pending.Len() == 0 {
 		return
 	}
-	js := s.pending[0]
-	s.pending = s.pending[1:]
+	js := s.pending.Pop()
 	part.busy = true
 	s.launch(part, js)
 }

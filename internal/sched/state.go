@@ -71,14 +71,14 @@ func (s *System) Quiescent() bool {
 	if s.runningNow != 0 || s.dynRunning != 0 || s.fatalErr != nil {
 		return false
 	}
-	if len(s.pending) != 0 || len(s.stalled) != 0 || len(s.equiJobs) != 0 {
+	if s.pending.Len() != 0 || s.stalled.Len() != 0 || len(s.equiJobs) != 0 {
 		return false
 	}
 	for _, part := range s.parts {
 		if part.busy || part.resident != 0 {
 			return false
 		}
-		if len(part.queue) != 0 || len(part.gangJobs) != 0 || len(part.jobs) != 0 {
+		if part.queue.Len() != 0 || len(part.gangJobs) != 0 || len(part.jobs) != 0 {
 			return false
 		}
 		if !part.net.Quiet() {

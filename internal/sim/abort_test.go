@@ -22,7 +22,7 @@ func TestAbortParked(t *testing.T) {
 		p.Park("waiting forever")
 		t.Error("park returned after abort")
 	})
-	k.At(10, func() { p.Abort() })
+	k.AtFunc(10, func() { p.Abort() })
 	k.Run()
 	if !aborted || !cleaned {
 		t.Fatalf("aborted=%v cleaned=%v, want both true", aborted, cleaned)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"repro/internal/fifo"
 )
 
 // nowQShedCap bounds the same-timestamp FIFO's retained capacity: a burst
@@ -14,25 +16,27 @@ const nowQShedCap = 4096
 // Kernel is a deterministic discrete-event simulation engine.
 //
 // All simulation state must only be touched from "kernel context": inside
-// event callbacks scheduled with At/After, or inside process bodies spawned
-// with Spawn. The kernel guarantees that exactly one of these runs at a time.
+// event callbacks scheduled with AtFunc/AfterFunc or fired by a Timer, or
+// inside process bodies spawned with Spawn. The kernel guarantees that
+// exactly one of these runs at a time.
+//
+// The next event is the (at, seq) minimum of three heads: the heap of
+// fire-and-forget events, the same-time FIFO, and the tree of re-armable
+// timers.
 type Kernel struct {
 	now   Time
 	seq   uint64
 	queue eventQueue
 	// nowQ is the same-timestamp fast path: events scheduled for the
-	// current time (the After(0) hand-off bursts that dominate equal-time
-	// runs) go to this FIFO instead of the heap. Because seq is globally
-	// monotonic, FIFO order here *is* (at, seq) order, and any heap event
-	// at the same timestamp predates (so precedes) every FIFO entry —
-	// pop order is exactly the heap-only order at a fraction of the
-	// comparisons.
-	nowQ    []*event
-	nowHead int
-	// free is the event pool: fired and collected-cancelled events are
-	// recycled (with a bumped generation) instead of handed to the GC.
-	free    []*event
-	live    int // non-cancelled queued events, kept in sync by push/pop/Stop
+	// current time (the AfterFunc(0) hand-off bursts that dominate
+	// equal-time runs) go to this FIFO instead of the heap. Because seq is
+	// globally monotonic, FIFO order here *is* (at, seq) order, and any
+	// heap event at the same timestamp predates (so precedes) every FIFO
+	// entry, so choosing between the two compares times only. A timer
+	// Reset to now can be older or newer than FIFO entries, so the timer
+	// tree's head is compared by the full key.
+	nowQ    fifo.Ring[entry]
+	timers  timerTree
 	rng     *rand.Rand
 	procs   map[*Proc]struct{}
 	nextPID int
@@ -41,8 +45,8 @@ type Kernel struct {
 	running bool
 	stopped bool
 
-	// eventsRun counts executed (non-cancelled) events — the simulator's
-	// work metric, useful for performance comparisons of model changes.
+	// eventsRun counts executed events — the simulator's work metric,
+	// useful for performance comparisons of model changes.
 	eventsRun int64
 }
 
@@ -50,8 +54,9 @@ type Kernel struct {
 // random source seeded with seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		procs: make(map[*Proc]struct{}),
+		rng:    rand.New(rand.NewSource(seed)),
+		procs:  make(map[*Proc]struct{}),
+		timers: newTimerTree(),
 	}
 }
 
@@ -70,28 +75,21 @@ func (k *Kernel) Reseed(seed int64) {
 	k.rng = rand.New(rand.NewSource(seed))
 }
 
-// NextEventAt reports the activation time of the next live pending event.
-// ok is false when the queue holds no live events. Cancelled-but-unswept
-// events at the front are collected on the way (they would never fire).
+// NextEventAt reports the activation time of the next pending event, armed
+// timers included. ok is false when nothing is pending.
 func (k *Kernel) NextEventAt() (t Time, ok bool) {
-	for {
-		ev := k.peekNext()
-		if ev == nil {
-			return 0, false
-		}
-		if ev.cancelled {
-			k.recycle(k.popNext(MaxTime))
-			continue
-		}
-		return ev.at, true
+	k.timers.settle()
+	if e, _ := k.next(); e != nil {
+		return e.at, true
 	}
+	return 0, false
 }
 
 // RestoreClock advances the clock to t and sets the executed-event counter,
 // without running anything. It is the warm-start resume primitive: after a
 // restored simulation has re-armed its pending events (all at times > t),
 // RestoreClock positions the kernel exactly where the donor run stood. It
-// panics if a live pending event would then be in the past — that would let
+// panics if a pending event would then be in the past — that would let
 // the clock move backwards, which no deterministic schedule survives.
 func (k *Kernel) RestoreClock(t Time, eventsRun int64) {
 	if t < k.now {
@@ -104,115 +102,51 @@ func (k *Kernel) RestoreClock(t Time, eventsRun int64) {
 	k.eventsRun = eventsRun
 }
 
-// After schedules fn to run d microseconds from now and returns a cancellable
-// timer. A non-positive delay schedules the event at the current time; it
-// still runs through the event queue, after events already scheduled for now.
-func (k *Kernel) After(d Time, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return k.At(k.now+d, fn)
-}
-
-// At schedules fn to run at absolute simulated time t.
-func (k *Kernel) At(t Time, fn func()) Timer {
-	ev := k.schedule(t, fn)
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// AfterFunc schedules fn to run d microseconds from now without returning a
-// handle — the zero-cost path for the many timers that are never cancelled
-// (router hop hand-offs, sleeps, retry timeouts, process wake-ups).
+// AfterFunc schedules fn to run d microseconds from now. A non-positive
+// delay schedules the event at the current time; it still runs through the
+// event queue, after events already scheduled for now. Scheduled events
+// cannot be cancelled: an owner that needs to stop or move its expiry
+// keeps one Timer instead.
 func (k *Kernel) AfterFunc(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	k.schedule(k.now+d, fn)
+	k.AtFunc(k.now+d, fn)
 }
 
-// AtFunc schedules fn at absolute time t without returning a handle.
+// AtFunc schedules fn at absolute time t, clamped to now.
 func (k *Kernel) AtFunc(t Time, fn func()) {
-	k.schedule(t, fn)
-}
-
-// schedule allocates (or recycles) the event and queues it.
-func (k *Kernel) schedule(t Time, fn func()) *event {
-	if t < k.now {
-		t = k.now
-	}
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-	} else {
-		ev = &event{k: k}
-	}
 	k.seq++
-	ev.at = t
-	ev.fn = fn
-	ev.cancelled = false
-	if t == k.now {
-		k.nowQ = append(k.nowQ, ev)
-	} else {
-		k.queue.push(entry{at: t, seq: k.seq, ev: ev})
+	if t <= k.now {
+		k.nowQ.Push(entry{at: k.now, seq: k.seq, fn: fn})
+		return
 	}
-	k.live++
-	return ev
+	k.queue.push(entry{at: t, seq: k.seq, fn: fn})
 }
 
-// recycle returns a dequeued event to the pool. Bumping the generation makes
-// every outstanding Timer handle for it inert.
-func (k *Kernel) recycle(ev *event) {
-	ev.fn = nil
-	ev.gen++
-	k.free = append(k.free, ev)
-}
+// Event sources, as next reports them.
+const (
+	fromTimer = iota
+	fromFIFO
+	fromHeap
+)
 
-// nowQFirst reports whether the FIFO head precedes the heap's minimum.
-// Heap events at the FIFO's timestamp carry older sequence numbers than any
-// FIFO entry (they were pushed before the clock reached now), so the heap
-// wins ties.
-func (k *Kernel) nowQFirst() bool {
-	return k.nowHead < len(k.nowQ) &&
-		(len(k.queue.items) == 0 || k.queue.items[0].at > k.nowQ[k.nowHead].at)
-}
-
-// peekNext returns the next event in (at, seq) order without dequeuing it,
-// or nil when nothing is queued.
-func (k *Kernel) peekNext() *event {
-	if k.nowQFirst() {
-		return k.nowQ[k.nowHead]
-	}
-	if len(k.queue.items) == 0 {
-		return nil
-	}
-	return k.queue.items[0].ev
-}
-
-// popNext dequeues the next event in (at, seq) order if it activates at or
-// before limit, and returns nil otherwise.
-func (k *Kernel) popNext(limit Time) *event {
-	if k.nowQFirst() {
-		ev := k.nowQ[k.nowHead]
-		if ev.at > limit {
-			return nil
+// next returns the key of the next event in (at, seq) order and where it
+// waits, or nil when nothing is pending. The timer tree must be settled.
+func (k *Kernel) next() (*entry, int) {
+	e, src := &k.timers.top().ev, fromTimer
+	// FIFO entries are all at now, and heap entries at now predate them.
+	if k.nowQ.Len() > 0 && (len(k.queue.items) == 0 || k.queue.items[0].at > k.now) {
+		if h := k.nowQ.Front(); h.before(e) {
+			e, src = h, fromFIFO
 		}
-		k.nowHead++
-		if k.nowHead == len(k.nowQ) {
-			if cap(k.nowQ) > nowQShedCap {
-				k.nowQ = nil
-			} else {
-				k.nowQ = k.nowQ[:0]
-			}
-			k.nowHead = 0
-		}
-		return ev
+	} else if len(k.queue.items) > 0 && k.queue.items[0].before(e) {
+		e, src = &k.queue.items[0], fromHeap
 	}
-	if len(k.queue.items) == 0 || k.queue.items[0].at > limit {
-		return nil
+	if e.seq == disarmedSeq {
+		return nil, 0
 	}
-	return k.queue.pop()
+	return e, src
 }
 
 // Run executes events until the queue is empty. Processes that are still
@@ -238,29 +172,35 @@ func (k *Kernel) RunUntil(limit Time) {
 	}
 }
 
-// fire runs the next live event activating at or before limit, collecting
-// cancelled ones on the way, and reports whether it ran one.
+// fire runs the next event activating at or before limit and reports
+// whether it ran one.
 func (k *Kernel) fire(limit Time) bool {
-	for {
-		ev := k.popNext(limit)
-		if ev == nil {
-			return false
-		}
-		if ev.cancelled {
-			k.recycle(ev)
-			continue
-		}
-		k.live--
-		k.now = ev.at
-		k.eventsRun++
-		fn := ev.fn
-		// Recycle before firing: the slot is free for whatever fn
-		// schedules, and the bumped generation makes the fired event's
-		// own Timer handles report not-pending, as they should.
-		k.recycle(ev)
-		fn()
-		return true
+	k.timers.settle()
+	e, src := k.next()
+	if e == nil || e.at > limit {
+		return false
 	}
+	k.now = e.at
+	k.eventsRun++
+	switch src {
+	case fromTimer:
+		// Disarm before the callback, so the timer reads not pending
+		// there, but leave its path to one replay before the next event:
+		// a callback that re-arms its own timer replays it anyway.
+		t := k.timers.top()
+		t.disarm()
+		k.timers.stale = t
+		t.ev.fn()
+	case fromFIFO:
+		fn := k.nowQ.Pop().fn
+		if k.nowQ.Len() == 0 && k.nowQ.Cap() > nowQShedCap {
+			k.nowQ = fifo.Ring[entry]{}
+		}
+		fn()
+	default:
+		k.queue.pop()()
+	}
+	return true
 }
 
 // EventsRun reports the number of events executed so far.
@@ -269,9 +209,11 @@ func (k *Kernel) EventsRun() int64 { return k.eventsRun }
 // Step executes exactly one pending event and reports whether one was run.
 func (k *Kernel) Step() bool { return k.fire(MaxTime) }
 
-// PendingEvents reports the number of live events in the queue. The count is
-// maintained incrementally on schedule/fire/Stop, so this is O(1).
-func (k *Kernel) PendingEvents() int { return k.live }
+// PendingEvents reports the number of pending events, armed timers
+// included, in O(1).
+func (k *Kernel) PendingEvents() int {
+	return len(k.queue.items) + k.nowQ.Len() + k.timers.armed
+}
 
 // Shutdown unwinds every started process that has not finished, running
 // its deferred cleanup, so no goroutines leak when the simulation is

@@ -4,7 +4,7 @@ import "testing"
 
 func TestRunReentrancyPanics(t *testing.T) {
 	k := NewKernel(1)
-	k.After(1, func() {
+	k.AfterFunc(1, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("re-entrant Run should panic")
@@ -17,11 +17,15 @@ func TestRunReentrancyPanics(t *testing.T) {
 
 func TestTimerAt(t *testing.T) {
 	k := NewKernel(1)
-	tm := k.After(25, func() {})
+	tm := k.NewTimer(func() {})
+	tm.Reset(25)
 	if tm.At() != 25 {
 		t.Errorf("At = %v", tm.At())
 	}
 	k.Run()
+	if tm.At() != 0 {
+		t.Errorf("At = %v after fire, want 0", tm.At())
+	}
 }
 
 func TestSpawnFromInsideProc(t *testing.T) {
@@ -50,7 +54,7 @@ func TestSpawnFromInsideProc(t *testing.T) {
 func TestSpawnFromEventCallback(t *testing.T) {
 	k := NewKernel(1)
 	ran := false
-	k.After(5, func() {
+	k.AfterFunc(5, func() {
 		k.Spawn("late", func(p *Proc) {
 			p.Sleep(5)
 			ran = true
@@ -75,7 +79,7 @@ func TestMultipleWakersFIFO(t *testing.T) {
 		})
 		procs = append(procs, p)
 	}
-	k.After(10, func() {
+	k.AfterFunc(10, func() {
 		// Wake in reverse creation order; resumption must follow wake order.
 		for i := len(procs) - 1; i >= 0; i-- {
 			procs[i].Wake()
@@ -102,7 +106,7 @@ func TestShutdownWithNothingParked(t *testing.T) {
 
 func TestPendingEventsAfterRun(t *testing.T) {
 	k := NewKernel(1)
-	k.After(1, func() {})
+	k.AfterFunc(1, func() {})
 	k.Run()
 	if k.PendingEvents() != 0 {
 		t.Errorf("pending = %d after drain", k.PendingEvents())
@@ -154,9 +158,10 @@ func TestStepDrivesProcs(t *testing.T) {
 func TestEventsRunCounter(t *testing.T) {
 	k := NewKernel(1)
 	for i := 0; i < 5; i++ {
-		k.After(Time(i), func() {})
+		k.AfterFunc(Time(i), func() {})
 	}
-	tm := k.After(100, func() {})
+	tm := k.NewTimer(func() {})
+	tm.Reset(100)
 	tm.Stop()
 	k.Run()
 	if got := k.EventsRun(); got != 5 {

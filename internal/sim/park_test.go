@@ -115,7 +115,7 @@ func TestAbortedUnrecoveredPanics(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Shutdown()
 	p := k.Spawn("victim", func(p *Proc) { p.Park("forever") })
-	k.At(3, p.Abort)
+	k.AtFunc(3, p.Abort)
 	const want = `sim: process "victim" panicked: sim: process aborted`
 	if got := panicMessage(t, k.Run); got != want {
 		t.Errorf("got %#v, want %q", got, want)
@@ -199,7 +199,7 @@ func TestHandoffResumesInWakeOrder(t *testing.T) {
 			order = append(order, name+" out")
 		})
 	}
-	k.At(5, func() {
+	k.AtFunc(5, func() {
 		k.AfterFunc(0, func() { order = append(order, "queued") })
 		procs["c"].Wake()
 		procs["a"].Wake()
@@ -241,7 +241,7 @@ func TestStepperStartsOnWake(t *testing.T) {
 	early := spawn("early")
 	spawn("never")
 	early.Wake() // before its start event: a permit
-	k.At(5, late.Wake)
+	k.AtFunc(5, late.Wake)
 	k.RunUntil(0)
 	want := []string{"late (parked: idle)", "early (parked: idle)", "never (parked: idle)"}
 	if got := k.ParkedProcs(); !reflect.DeepEqual(got, want) {

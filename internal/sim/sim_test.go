@@ -40,10 +40,10 @@ func TestTimeConversions(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	k := NewKernel(1)
 	var order []int
-	k.After(10, func() { order = append(order, 2) })
-	k.After(5, func() { order = append(order, 1) })
-	k.After(10, func() { order = append(order, 3) }) // same time: insertion order
-	k.After(20, func() { order = append(order, 4) })
+	k.AfterFunc(10, func() { order = append(order, 2) })
+	k.AfterFunc(5, func() { order = append(order, 1) })
+	k.AfterFunc(10, func() { order = append(order, 3) }) // same time: insertion order
+	k.AfterFunc(20, func() { order = append(order, 4) })
 	k.Run()
 	want := []int{1, 2, 3, 4}
 	if len(order) != len(want) {
@@ -62,8 +62,8 @@ func TestEventOrdering(t *testing.T) {
 func TestNegativeDelayClampsToNow(t *testing.T) {
 	k := NewKernel(1)
 	fired := Time(-1)
-	k.After(10, func() {
-		k.After(-5, func() { fired = k.Now() })
+	k.AfterFunc(10, func() {
+		k.AfterFunc(-5, func() { fired = k.Now() })
 	})
 	k.Run()
 	if fired != 10 {
@@ -74,8 +74,8 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 func TestAtInPastClampsToNow(t *testing.T) {
 	k := NewKernel(1)
 	fired := Time(-1)
-	k.After(10, func() {
-		k.At(3, func() { fired = k.Now() })
+	k.AfterFunc(10, func() {
+		k.AtFunc(3, func() { fired = k.Now() })
 	})
 	k.Run()
 	if fired != 10 {
@@ -86,7 +86,8 @@ func TestAtInPastClampsToNow(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	k := NewKernel(1)
 	ran := false
-	tm := k.After(10, func() { ran = true })
+	tm := k.NewTimer(func() { ran = true })
+	tm.Reset(10)
 	if !tm.Pending() {
 		t.Fatal("timer should be pending")
 	}
@@ -107,7 +108,8 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	k := NewKernel(1)
-	tm := k.After(1, func() {})
+	tm := k.NewTimer(func() {})
+	tm.Reset(1)
 	k.Run()
 	if tm.Pending() {
 		t.Error("fired timer still pending")
@@ -122,7 +124,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, d := range []Time{5, 10, 15, 20} {
 		d := d
-		k.After(d, func() { fired = append(fired, d) })
+		k.AfterFunc(d, func() { fired = append(fired, d) })
 	}
 	k.RunUntil(12)
 	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
@@ -140,8 +142,8 @@ func TestRunUntil(t *testing.T) {
 func TestStep(t *testing.T) {
 	k := NewKernel(1)
 	count := 0
-	k.After(1, func() { count++ })
-	k.After(2, func() { count++ })
+	k.AfterFunc(1, func() { count++ })
+	k.AfterFunc(2, func() { count++ })
 	if !k.Step() {
 		t.Fatal("Step should run first event")
 	}
@@ -158,8 +160,9 @@ func TestStep(t *testing.T) {
 
 func TestPendingEventsSkipsCancelled(t *testing.T) {
 	k := NewKernel(1)
-	k.After(1, func() {})
-	tm := k.After(2, func() {})
+	k.AfterFunc(1, func() {})
+	tm := k.NewTimer(func() {})
+	tm.Reset(2)
 	tm.Stop()
 	if got := k.PendingEvents(); got != 1 {
 		t.Errorf("PendingEvents = %d, want 1", got)
@@ -215,7 +218,7 @@ func TestParkWake(t *testing.T) {
 		p.Park("test wait")
 		got = p.Now()
 	})
-	k.After(50, func() { waiter.Wake() })
+	k.AfterFunc(50, func() { waiter.Wake() })
 	k.Run()
 	if got != 50 {
 		t.Errorf("waiter resumed at %v, want 50", got)
@@ -241,7 +244,7 @@ func TestWakePermit(t *testing.T) {
 func TestWakeFinishedProcIsNoop(t *testing.T) {
 	k := NewKernel(1)
 	p := k.Spawn("quick", func(p *Proc) {})
-	k.After(10, func() { p.Wake() })
+	k.AfterFunc(10, func() { p.Wake() })
 	k.Run() // must not hang or panic
 	if !p.Finished() {
 		t.Error("proc should be finished")
@@ -356,7 +359,7 @@ func TestEventQueueHeapProperty(t *testing.T) {
 		var fired []Time
 		for _, d := range delays {
 			at := Time(d)
-			k.At(at, func() { fired = append(fired, at) })
+			k.AtFunc(at, func() { fired = append(fired, at) })
 		}
 		k.Run()
 		if len(fired) != len(delays) {
@@ -382,12 +385,12 @@ func TestStableOrderAmongEqualTimes(t *testing.T) {
 		k := NewKernel(1)
 		var fired []int
 		// Interleave with some earlier events to exercise heap reshuffling.
-		k.After(1, func() {})
+		k.AfterFunc(1, func() {})
 		for i := 0; i < count; i++ {
 			i := i
-			k.At(10, func() { fired = append(fired, i) })
+			k.AtFunc(10, func() { fired = append(fired, i) })
 			if i%3 == 0 {
-				k.At(Time(2+i%5), func() {})
+				k.AtFunc(Time(2+i%5), func() {})
 			}
 		}
 		k.Run()

@@ -57,11 +57,14 @@ go test -race -run 'Render|Exposition' -count=1 ./internal/experiments ./interna
 # with its deferred cleanup and no leaked goroutine (TestShutdown*).
 # Router daemons are stackless steppers that take no coroutine
 # (TestStepper*), their whole store-and-forward pipeline reproduces pinned
-# event counts, totals and stall reports (TestRouterPipelinePins), and the
-# event heap matches a sorted reference (TestEventQueueOracle).
+# event counts, totals and stall reports (TestRouterPipelinePins), the
+# event heap and timer tree match a sorted reference
+# (TestEventQueueOracle), re-armable timers keep their contract (Test*Timer*)
+# and the FIFO ring keeps order through wraparound, growth and removal
+# (TestRing*).
 # Redundant with the full race run above, but kept explicit so a refactor
 # that renames or skips the pins fails loudly here.
-go test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose|Stepper|RouterPipeline|EventQueue' -count=1 ./internal/sim ./internal/machine ./internal/comm ./internal/mem ./internal/sched ./internal/core
+go test -race -run 'Park|Handoff|Shutdown|Panic|Abort|Diagnose|Stepper|RouterPipeline|EventQueue|Timer|Ring' -count=1 ./internal/sim ./internal/fifo ./internal/machine ./internal/comm ./internal/mem ./internal/sched ./internal/core
 
 # Chaos gate: crash safety at the process level, wall clock bounded by
 # -timeout. Real coordinator and worker processes are SIGKILLed and
@@ -99,7 +102,7 @@ OPEN_GATE=1 go test -race -run 'OpenGate' -count=1 -timeout 600s ./internal/inte
 go test -run '^$' -bench BenchmarkFigure3 -benchtime 1x .
 go test -run '^$' -bench BenchmarkSweepParallel -benchtime 1x .
 
-# Kernel hot-path smoke (make bench-smoke): the event-pool / timer / router
+# Kernel hot-path smoke (make bench-smoke): the event-heap / timer / router
 # micro-benchmarks must keep compiling and running; full-precision numbers
 # go to the BENCH_*.json ledger via `go run ./cmd/perfgate -group kernel`.
 go test -run '^$' -bench 'BenchmarkKernel|BenchmarkNetworkAllToAll' -benchmem -benchtime 1x .
